@@ -35,10 +35,6 @@ class NotAVeeSystem(VeesysError):
     """Deformation analysis requires the orthogonality/proportionality checks to pass."""
 
 
-class NoOrthogonalPair(VeesysError):
-    """A 4-member flat has no orthogonal pair (recorded, normally not raised)."""
-
-
 class BadEmbedding(VeesysError):
     """Index map is not injective or maps outside the target configuration."""
 

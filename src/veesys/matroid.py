@@ -28,10 +28,9 @@ DEFAULT_NODE_BUDGET = 500_000
 
 @dataclass(frozen=True)
 class Flat:
-    """A rank-2 flat: sorted member indices plus (rank 3) its plane normal."""
+    """A rank-2 flat: its sorted member indices."""
 
     members: tuple
-    plane_normal: tuple = None
 
     @property
     def size(self):
@@ -49,17 +48,6 @@ class FlatDecomposition:
     multi_flats: tuple  # indices into flats
     n: int
     tiny_covectors: tuple = ()  # indices with norm < TINY_NORM (degeneracy flag)
-
-    def member_labels(self, config):
-        """Flat member index tuples translated to configuration labels."""
-        return [tuple(config.labels[i] for i in f.members) for f in self.flats]
-
-    def flat_of_pair(self, i, j):
-        """The unique flat containing covectors i and j."""
-        for f in self.flats:
-            if i in f.members and j in f.members:
-                return f
-        raise KeyError((i, j))
 
 
 @dataclass(frozen=True)
@@ -93,24 +81,19 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _normalized_plane_normal(u, v):
-    normal = np.cross(u, v)
-    normal = normal / np.linalg.norm(normal)
-    for x in normal:
-        if abs(x) > 1e-12:
-            if x < 0:
-                normal = -normal
-            break
-    return tuple(normal)
-
-
 def decompose(config, coplanar_tol=COPLANAR_TOL):
     """Enumerate the rank-2 flats of a rank-3 configuration.
 
     Covectors are normalized to unit length before the determinant test, so
     the decomposition is invariant under per-covector scaling.  Pairs (i,j),
-    (i,k) merge into one flat when det(a_i, a_j, a_k) vanishes within
-    ``coplanar_tol``.
+    (i,k) and (j,k) merge into one flat when det(u_i, u_j, u_k) of the unit
+    covectors vanishes within ``coplanar_tol``.  This threshold is the fixed
+    ``COPLANAR_TOL``, not the relative tolerance (``--rtol``) used by the
+    checks.
+
+    Cost: one C(n,2) x n matrix of determinants, the cross products of all
+    pairs i < j times the unit covectors, then a union over the coplanar
+    triples only.
     """
     r, n = config.matrix.shape
     if r > 3:
@@ -124,25 +107,28 @@ def decompose(config, coplanar_tol=COPLANAR_TOL):
         flats = (Flat(tuple(range(n))),)
         return FlatDecomposition(flats, (), (0,), n, tiny)
 
+    # Row p of dets holds det(u_i, u_j, u_k) for the p-th pair i < j and
+    # every k; each coplanar triple is taken once, at its k > j entry.
+    first, second = np.triu_indices(n, 1)
+    dets = np.cross(unit[:, first].T, unit[:, second].T) @ unit
+    coplanar = (np.abs(dets) < coplanar_tol) & (np.arange(n) > second[:, None])
+    rows, third = np.nonzero(coplanar)
+
     # Union-find over unordered pairs; pair (i,j) has id i*n + j for i < j.
     uf = _UnionFind(n * n)
-    for i, j, k in itertools.combinations(range(n), 3):
-        det = np.linalg.det(unit[:, [i, j, k]])
-        if abs(det) < coplanar_tol:
-            uf.union(i * n + j, i * n + k)
-            uf.union(i * n + j, j * n + k)
+    for i, j, k in zip(first[rows].tolist(), second[rows].tolist(), third.tolist()):
+        uf.union(i * n + j, i * n + k)
+        uf.union(i * n + j, j * n + k)
 
     groups = {}
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in zip(first.tolist(), second.tolist()):
         groups.setdefault(uf.find(i * n + j), set()).update((i, j))
+    return _decomposition(groups.values(), n, tiny)
 
-    flats = []
-    for members in groups.values():
-        members = tuple(sorted(members))
-        normal = _normalized_plane_normal(unit[:, members[0]], unit[:, members[1]])
-        flats.append(Flat(members, normal))
-    flats.sort(key=lambda f: (f.size, f.members))
-    flats = tuple(flats)
+
+def _decomposition(member_sets, n, tiny=()):
+    flats = tuple(sorted((Flat(tuple(sorted(m))) for m in member_sets),
+                         key=lambda f: (f.size, f.members)))
     pair = tuple(i for i, f in enumerate(flats) if f.is_pair)
     multi = tuple(i for i, f in enumerate(flats) if not f.is_pair)
     return FlatDecomposition(flats, pair, multi, n, tiny)
@@ -248,29 +234,10 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     return YES if mapping is not None else NO
 
 
-def find_flat_bijection(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
-    """Like same_matroid but returns the relabelling (list: d1 index -> d2
-    index) when one exists, else None.  Raises TimeoutError on budget."""
-    if d1.n != d2.n:
-        raise ValueError("decompositions must have equal ground-set size")
-    f1, f2 = fingerprint(d1), fingerprint(d2)
-    if (f1.flat_size_multiset != f2.flat_size_multiset
-            or f1.canonical_profile != f2.canonical_profile):
-        return None
-    try:
-        return _search_bijection(d1, d2, node_budget)
-    except _BudgetExceeded:
-        raise TimeoutError("flat bijection search exceeded node budget")
-
-
 def decomposition_from_flats(flat_member_sets, n):
     """Build a FlatDecomposition from explicit member-index sets (no geometry).
 
     Useful for comparing a computed decomposition against a published flat
-    list via same_matroid / find_flat_bijection.
+    list via same_matroid.
     """
-    flats = tuple(sorted((Flat(tuple(sorted(m))) for m in flat_member_sets),
-                         key=lambda f: (f.size, f.members)))
-    pair = tuple(i for i, f in enumerate(flats) if f.is_pair)
-    multi = tuple(i for i, f in enumerate(flats) if not f.is_pair)
-    return FlatDecomposition(flats, pair, multi, n)
+    return _decomposition(flat_member_sets, n)

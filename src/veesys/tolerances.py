@@ -1,8 +1,9 @@
 """Global numerical tolerance settings.
 
-All semantic comparisons in the package go through the single relative
-tolerance below (default 1e-9).  It can be overridden globally (the CLI's
---rtol flag) or per call, since most operations accept an explicit rtol.
+The verification checks go through the relative tolerance below (default
+1e-9).  It can be overridden globally (the CLI's --rtol flag) or per call,
+since most operations accept an explicit rtol.  Flat enumeration does not
+use it; it tests coplanarity against the fixed COPLANAR_TOL.
 """
 
 DEFAULT_RTOL = 1e-9

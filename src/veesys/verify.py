@@ -250,6 +250,9 @@ def check_extension(inner, outer, embedding, rtol=None):
     outer_report = check_vee(outer, rtol=tol)
     in_dec, out_dec = inner_report.decomposition, outer_report.decomposition
 
+    outer_flat_of_pair = {
+        pair: f for f in out_dec.flats for pair in itertools.combinations(f.members, 2)
+    }
     image = set(emb)
     ratios = {}
     values = []
@@ -257,8 +260,8 @@ def check_extension(inner, outer, embedding, rtol=None):
         f = in_dec.flats[k]
         labels = inner.sublabels(f.members)
         nu_in = inner_report.nu_function[labels]
-        i0, i1 = emb[f.members[0]], emb[f.members[1]]
-        outer_flat = out_dec.flat_of_pair(i0, i1)
+        i0, i1 = sorted((emb[f.members[0]], emb[f.members[1]]))
+        outer_flat = outer_flat_of_pair[i0, i1]
         nu_out = outer_report.nu_function[outer.sublabels(outer_flat.members)]
         ratios[labels] = nu_in / nu_out
         if set(outer_flat.members) <= image:

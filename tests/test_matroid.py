@@ -7,6 +7,63 @@ import pytest
 from veesys import CovectorConfiguration, catalogue, decompose, fingerprint, same_matroid
 from veesys import matroid
 from veesys.errors import RankTooHigh
+from veesys.tolerances import COPLANAR_TOL
+
+
+def _grid_points():
+    """(id, configuration) for every default-grid point of every family."""
+    for ident in catalogue.ids():
+        for params in catalogue.entry(ident).default_grid:
+            yield f"{ident}{params}", catalogue.construct(ident, params)
+
+
+def _triple_dets(config):
+    """|det| of every unit-covector triple i < j < k, one LU determinant each."""
+    unit = config.matrix / np.linalg.norm(config.matrix, axis=0)
+    triples = list(itertools.combinations(range(config.n), 3))
+    dets = np.abs(np.linalg.det(unit[:, triples].transpose(1, 0, 2)))
+    return dict(zip(triples, dets.tolist()))
+
+
+def _reference_flats(config):
+    """Loop reference for decompose: union-find over pairs, joined per triple."""
+    parent = {pair: pair for pair in itertools.combinations(range(config.n), 2)}
+
+    def find(pair):
+        while parent[pair] != pair:
+            pair = parent[pair]
+        return pair
+
+    for (i, j, k), det in _triple_dets(config).items():
+        if det < COPLANAR_TOL:
+            for other in ((i, k), (j, k)):
+                parent[find(other)] = find((i, j))
+    groups = {}
+    for pair in parent:
+        groups.setdefault(find(pair), set()).update(pair)
+    return tuple(sorted((tuple(sorted(m)) for m in groups.values()),
+                        key=lambda m: (len(m), m)))
+
+
+def _assert_matches_reference(name, config):
+    flats = tuple(f.members for f in decompose(config).flats)
+    assert flats == _reference_flats(config), name
+    covered = sum(math.comb(len(m), 2) for m in flats)
+    assert covered == math.comb(config.n, 2), name
+    return flats
+
+
+def _planted_lines(rng, sizes, generic):
+    """Covectors on random planes (collinear points), plus generic ones, each
+    scaled by 1e-10 to 1e6: flats must not depend on the scale."""
+    columns, planted = [], []
+    for size in sizes:
+        basis = rng.standard_normal((3, 2))
+        planted.append(tuple(range(len(columns), len(columns) + size)))
+        columns.extend((basis @ rng.standard_normal(2)) for _ in range(size))
+    columns.extend(rng.standard_normal(3) for _ in range(generic))
+    scales = 10.0 ** rng.uniform(-10, 6, len(columns))
+    return CovectorConfiguration(np.array(columns).T * scales), planted
 
 
 def _label_sets(config, decomp):
@@ -106,3 +163,36 @@ def test_tiny_covector_flag():
     factors[0] = 5e-8  # below the tiny-norm threshold
     squeezed = base.scaled(factors)
     assert decompose(squeezed).tiny_covectors == (0,)
+
+
+def test_decompose_matches_reference_on_catalogue_grids():
+    points = list(_grid_points())
+    assert len(points) == 37
+    for name, config in points:
+        _assert_matches_reference(name, config)
+
+
+def test_decompose_matches_reference_on_random_configs():
+    rng = np.random.default_rng(2024)
+    for n in range(4, 49):
+        config = CovectorConfiguration(rng.standard_normal((3, n)))
+        _assert_matches_reference(f"random n={n}", config)
+
+
+def test_decompose_matches_reference_on_planted_lines():
+    rng = np.random.default_rng(7)
+    for sizes, generic in [((3,), 3), ((4, 3), 5), ((5, 4, 3), 6), ((6, 6), 10),
+                           ((3, 3, 3, 3, 3), 4)]:
+        config, planted = _planted_lines(rng, sizes, generic)
+        flats = _assert_matches_reference(f"planted {sizes}+{generic}", config)
+        assert set(planted) <= set(flats)
+
+
+def test_coplanar_decision_margins_on_catalogue_grids():
+    """Both sides of COPLANAR_TOL stay far from it on every shipped grid point."""
+    accepted, rejected = [], []
+    for _, config in _grid_points():
+        for det in _triple_dets(config).values():
+            (accepted if det < COPLANAR_TOL else rejected).append(det)
+    assert max(accepted) <= 1e-13
+    assert min(rejected) >= 1e-3
