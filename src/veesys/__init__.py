@@ -14,7 +14,6 @@ from .core import (
     dual,
     pairing,
     pairing_matrix,
-    restrict_forms,
 )
 from .deform import (
     FIXED_NU,
@@ -42,7 +41,7 @@ from .projective import (
     run_reconstruction,
     to_projective,
 )
-from .tolerances import DEFAULT_RTOL, get_rtol, set_rtol
+from .tolerances import DEFAULT_RTOL, set_rtol
 from .verify import (
     ExtensionReport,
     VeeReport,
@@ -75,7 +74,6 @@ __all__ = [
     "deformation_dimension",
     "dual",
     "fingerprint",
-    "get_rtol",
     "load_document",
     "load_script",
     "meet",
@@ -84,7 +82,6 @@ __all__ = [
     "pairing_matrix",
     "parse_document",
     "parse_script",
-    "restrict_forms",
     "rigidity_test",
     "run_reconstruction",
     "same_matroid",

@@ -19,13 +19,15 @@ import numpy as np
 import yaml
 
 from . import matroid
-from .core import CovectorConfiguration, canonical_form
+from .core import CovectorConfiguration
 from .errors import InadmissibleParameters, VeesysError
 from .expressions import evaluate
 from .tolerances import resolve
-from .verify import check_extension, check_vee, nu_trace
+from .verify import check_extension, check_vee
 
 ORACLE_RTOL = 1e-8  # relative tolerance for gram/nu comparisons against oracles
+# libyaml's parser, about eight times faster, when PyYAML was built with it
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class CatalogueDataError(VeesysError):
@@ -131,7 +133,7 @@ def data_checksum(text=None):
 @lru_cache(maxsize=1)
 def _load():
     text = _data_text()
-    data = yaml.safe_load(text)
+    data = yaml.load(text, Loader=YAML_LOADER)
     if data.get("format") != "veesys-catalogue/1":
         raise CatalogueDataError(f"unsupported data format {data.get('format')!r}")
     recorded = data.get("checksum")
@@ -236,16 +238,15 @@ def verify_entry(entry_id, params=None, rtol=None):
         report.failures.append(f"construction failed: {exc}")
         return report
 
-    form = canonical_form(config)
+    vee = check_vee(config, rtol=rtol)
     expected_gram = ent.gram_at(params)
     scale = np.abs(expected_gram).max()
-    gram_err = np.abs(form.gram - expected_gram).max() / scale
+    gram_err = np.abs(vee.form.gram - expected_gram).max() / scale
     report.details["gramError"] = float(gram_err)
     if gram_err > ORACLE_RTOL:
         report.passed = False
         report.failures.append(f"gram mismatch, relative error {gram_err:.3e}")
 
-    vee = check_vee(config, rtol=rtol)
     report.details["maxResidual"] = vee.max_residual
     if not vee.is_vee_system:
         report.passed = False
@@ -282,8 +283,8 @@ def verify_entry(entry_id, params=None, rtol=None):
 
 
 def _fingerprints_match(config_a, config_b):
-    fa = matroid.fingerprint(matroid.decompose(config_a))
-    fb = matroid.fingerprint(matroid.decompose(config_b))
+    fa = matroid.fingerprint(config_a.analysis.decomposition)
+    fb = matroid.fingerprint(config_b.analysis.decomposition)
     return (
         fa.flat_size_multiset == fb.flat_size_multiset
         and fa.canonical_profile == fb.canonical_profile
@@ -331,7 +332,7 @@ def _verify_extension(rel, rtol):
         )
     else:
         verdict = matroid.same_matroid(
-            matroid.decompose(inner), matroid.decompose(reference)
+            inner.analysis.decomposition, matroid.decompose(reference)
         )
         report.details["matroidVerdict"] = verdict
         if verdict == matroid.NO:

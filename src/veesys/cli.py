@@ -163,10 +163,10 @@ def cmd_matroid(input, catalogue_id, params_text, out):
     """Print the rank-2 flat decomposition and its fingerprint."""
     try:
         config, digest = _load(input, catalogue_id, params_text)
+        report = Report("matroid", digest)
+        decomp = matroid.decompose(config)
     except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
         _fail_usage(exc)
-    report = Report("matroid", digest)
-    decomp = matroid.decompose(config)
     fp = matroid.fingerprint(decomp)
     report.add("covectors", decomp.n)
     report.add("pairFlats", len(decomp.pair_flats))

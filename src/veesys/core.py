@@ -12,10 +12,12 @@ induced scalar product of two covectors is  alpha^T G^{-1} beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import matroid
 from .errors import DegeneratePlane, SingularForm
 from .tolerances import resolve
 
@@ -113,6 +115,11 @@ class CovectorConfiguration:
         return CovectorConfiguration(self.matrix * np.asarray(factors),
                                      self.labels)
 
+    @cached_property
+    def analysis(self):
+        """The PlaneAnalysis, computed on first use and kept with the object."""
+        return analyse(self)
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -135,17 +142,30 @@ class PlaneForm:
     the first two member covectors of the flat.
     """
 
-    plane_index: object
     restricted_gram: np.ndarray
     restricted_plane_gram: np.ndarray
-    basis: np.ndarray  # r x 2, the two dual vectors as columns
 
     def __post_init__(self):
         object.__setattr__(self, "restricted_gram",
                            _as_readonly(self.restricted_gram))
         object.__setattr__(self, "restricted_plane_gram",
                            _as_readonly(self.restricted_plane_gram))
-        object.__setattr__(self, "basis", _as_readonly(self.basis))
+
+
+@dataclass(frozen=True)
+class PlaneAnalysis:
+    """The tolerance-free plane data every check reads, one entry per flat
+    of ``decomposition`` (in its order).  Thresholds are applied by the
+    callers, so one analysis serves every tolerance."""
+
+    form: CanonicalForm
+    pairings: np.ndarray  # P = A^T G^{-1} A
+    decomposition: object  # matroid.FlatDecomposition
+    incidence: np.ndarray  # n x flats, True where covector k lies in the flat
+    residuals: np.ndarray  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
+    nus: np.ndarray  # 1/2 sum of P_kk over the members
+    ratios: np.ndarray  # |u ^ v| / (|u| |v|) of the first two member duals
+    max_residual: float
 
 
 def canonical_form(config):
@@ -218,5 +238,46 @@ def restrict_forms(config, form, flat, rtol=None):
             [vals_u @ vals_v, vals_v @ vals_v],
         ]
     )
-    return PlaneForm(getattr(flat, "members", tuple(members)), g, gp,
-                     np.column_stack([u, v]))
+    return PlaneForm(g, gp)
+
+
+def analyse(config):
+    """The PlaneAnalysis of a configuration (``config.analysis`` caches it).
+
+    Every plane quantity is an entry of P, since gamma(G^{-1} alpha) =
+    P[gamma, alpha].  For a flat with first members i, j the restriction of
+    G to the dual plane is (P_ii, P_ij, P_jj) and that of the plane form is
+    the sum over members k of (P_ki P_ki, P_ki P_kj, P_kj P_kj).  A multi
+    flat's residual is the relative deviation of the plane form from nu * G
+    restricted, with nu the least-squares factor.
+    """
+    form = canonical_form(config)
+    P = pairing_matrix(config, form)
+    decomp = matroid.decompose(config)
+    first, second = np.array([f.members[:2] for f in decomp.flats], dtype=int).T
+    member = np.zeros((config.n, len(decomp.flats)), dtype=bool)
+    for col, f in enumerate(decomp.flats):
+        member[list(f.members), col] = True
+
+    # entries (11, 12, 22) of the symmetric 2x2 restrictions; the
+    # off-diagonal entry counts twice in Frobenius products
+    entries = ((first, first), (first, second), (second, second))
+    weight = np.array([[1.0], [2.0], [1.0]])
+    g = np.stack([P[a, b] for a, b in entries])
+    gp = np.stack([(member * P[:, a] * P[:, b]).sum(0) for a, b in entries])
+    nu_lsq = (weight * gp * g).sum(0) / (weight * g * g).sum(0)
+    multi = np.sqrt((weight * (gp - nu_lsq * g) ** 2).sum(0)
+                    / (weight * gp * gp).sum(0))
+    pair = np.abs(g[1]) / np.sqrt(g[0] * g[2])
+    residuals = np.where(member.sum(0) == 2, pair, multi)
+
+    duals = form.gram_inverse @ config.matrix
+    u, v = duals[:, first], duals[:, second]
+    wedge = u[:, None] * v[None] - v[:, None] * u[None]
+    ratios = (np.sqrt((wedge ** 2).sum((0, 1)))
+              / (np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)))
+    nus = 0.5 * (member.T @ np.diag(P))
+    for shared in (P, member, residuals, nus, ratios):
+        shared.setflags(write=False)
+    return PlaneAnalysis(form, P, decomp, member, residuals, nus, ratios,
+                         float(residuals.max(initial=0.0)))

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import pairing_matrix
 from .errors import NotAVeeSystem, Reducible
 from .tolerances import RANK_RTOL, resolve
-from .verify import check_vee
+from .verify import plane_analysis
 
 FREE_NU = "freeNu"
 FIXED_NU = "fixedNu"
@@ -41,61 +40,45 @@ class DeformationSystem:
     spectral_gap: float  # smallest kept / largest dropped singular value
 
 
-def _assemble_rows(config, report):
-    """Rows of both modes: returns (pair_rows, multi_row_triples).
+def _assemble_rows(analysis, mode):
+    """The equations of ``mode``, one row per equation in the unknowns xi.
 
-    Each multi flat contributes the three entry functions (M11, M12, M22) of
-    (X^Pi - nu X) restricted to its dual plane, along with the restricted
-    entries (g11, g12, g22) of G, from which either mode's equations follow.
+    A pair flat {i, j} gives X(alpha_i_dual, alpha_j_dual) = sum_a xi_a
+    P_ai P_aj.  A multi flat gives the entries (M11, M12, M22) of
+    (X^Pi - nu X) restricted to its dual plane: all three in fixedNu mode,
+    their proportionality to the restricted G (g11, g12, g22) in freeNu mode.
     """
-    decomp = report.decomposition
-    P = pairing_matrix(config, report.form)
-    n = decomp.n
-
-    pair_rows = []
-    for k in decomp.pair_flats:
-        i, j = decomp.flats[k].members
-        pair_rows.append(P[:, i] * P[:, j])
-
-    multi_rows = []
-    for k in decomp.multi_flats:
-        f = decomp.flats[k]
-        i, j = f.members[0], f.members[1]
-        labels = config.sublabels(f.members)
-        nu = report.nu_function[labels]
-        member_mask = np.zeros(n)
-        member_mask[list(f.members)] = 1.0
-        weight = member_mask - nu  # coefficient of xi_a in (X^Pi - nu X)
-        m11 = weight * P[:, i] * P[:, i]
-        m12 = weight * P[:, i] * P[:, j]
-        m22 = weight * P[:, j] * P[:, j]
-        g = (P[i, i], P[i, j], P[j, j])
-        multi_rows.append(((m11, m12, m22), g))
-    return pair_rows, multi_rows
+    decomp = analysis.decomposition
+    P = analysis.pairings
+    pair_i, pair_j = np.array([decomp.flats[k].members for k in decomp.pair_flats],
+                              dtype=int).reshape(-1, 2).T
+    multi = list(decomp.multi_flats)
+    i, j = np.array([decomp.flats[k].members[:2] for k in multi], dtype=int).reshape(-1, 2).T
+    # coefficients of xi in X^Pi - nu X
+    weight = analysis.incidence[:, multi] - analysis.nus[multi]
+    m11, m12, m22 = (weight * P[:, a] * P[:, b] for a, b in ((i, i), (i, j), (j, j)))
+    if mode == FREE_NU:
+        # proportionality to (g11, g12, g22), free factor eliminated
+        g11, g12, g22 = P[i, i], P[i, j], P[j, j]
+        equations = (m11 * g12 - m12 * g11, m11 * g22 - m22 * g11)
+    else:
+        equations = (m11, m12, m22)
+    rows = np.stack(equations, axis=2).reshape(decomp.n, -1)  # flat by flat
+    return np.hstack([P[:, pair_i] * P[:, pair_j], rows]).T
 
 
-def build_system(config, mode=FREE_NU, rtol=None, report=None):
+def build_system(config, mode=FREE_NU, rtol=None):
     """Assemble the linearised system in the unknowns xi and analyse it."""
     if mode not in (FREE_NU, FIXED_NU):
         raise ValueError(f"unknown mode {mode!r}")
     tol = resolve(rtol)
-    report = report or check_vee(config, rtol=tol)
-    if not report.is_vee_system:
+    analysis = plane_analysis(config, tol)
+    if not analysis.max_residual < tol:
         raise NotAVeeSystem(
-            f"max residual {report.max_residual:.3e} exceeds tolerance {tol:.1e}"
+            f"max residual {analysis.max_residual:.3e} exceeds tolerance {tol:.1e}"
         )
 
-    pair_rows, multi_rows = _assemble_rows(config, report)
-    rows = list(pair_rows)
-    for (m11, m12, m22), (g11, g12, g22) in multi_rows:
-        if mode == FREE_NU:
-            # proportionality to (g11, g12, g22), free factor eliminated
-            rows.append(m11 * g12 - m12 * g11)
-            rows.append(m11 * g22 - m22 * g11)
-        else:
-            rows.extend((m11, m12, m22))
-
-    matrix = np.array(rows)
+    matrix = _assemble_rows(analysis, mode)
     # Rows that vanish to round-off carry no information; normalizing them
     # would inject noise, so drop them before scaling rows to unit norm.
     norms = np.linalg.norm(matrix, axis=1)
@@ -103,7 +86,8 @@ def build_system(config, mode=FREE_NU, rtol=None, report=None):
     matrix = matrix[keep] / norms[keep, None]
 
     n = config.n
-    _, svals, vt = np.linalg.svd(matrix)
+    # the reduced V already holds the kernel unless there are fewer rows than n
+    _, svals, vt = np.linalg.svd(matrix, full_matrices=len(matrix) < n)
     threshold = svals[0] * RANK_RTOL * max(matrix.shape)
     rank = int(np.sum(svals > threshold))
     corank = n - rank
@@ -120,26 +104,18 @@ def deformation_dimension(config, rtol=None):
     return build_system(config, FREE_NU, rtol=rtol).corank
 
 
-def _is_connected_through_multi_flats(decomp):
-    if decomp.n == 0:
-        return True
-    adjacency = [set() for _ in range(decomp.n)]
-    for k in decomp.multi_flats:
-        members = decomp.flats[k].members
-        for a in members:
-            adjacency[a].update(members)
-    seen = {0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b in adjacency[a]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == decomp.n
+def _is_connected_through_multi_flats(analysis):
+    """Whether every covector is reached from the first through shared multi flats."""
+    multi = analysis.incidence[:, list(analysis.decomposition.multi_flats)]
+    reached = np.arange(len(multi)) == 0
+    while True:
+        grown = reached | multi[:, multi[reached].any(0)].any(1)
+        if (grown == reached).all():
+            return bool(reached.all())
+        reached = grown
 
 
-def rigidity_test(config, rtol=None, report=None):
+def rigidity_test(config, rtol=None):
     """Fixed-nu rigidity check for an irreducible configuration.
 
     Returns {"corank", "scalingOnly", "onesResidual", "spectralGap"}.
@@ -147,10 +123,9 @@ def rigidity_test(config, rtol=None, report=None):
     share no multi flat (direct sums deform componentwise).
     """
     tol = resolve(rtol)
-    report = report or check_vee(config, rtol=tol)
-    if not _is_connected_through_multi_flats(report.decomposition):
+    if not _is_connected_through_multi_flats(plane_analysis(config, tol)):
         raise Reducible("configuration is disconnected across multi flats")
-    system = build_system(config, FIXED_NU, rtol=tol, report=report)
+    system = build_system(config, FIXED_NU, rtol=tol)
     ones = np.ones(config.n) / np.sqrt(config.n)
     residual = float(np.linalg.norm(system.matrix @ ones))
     return {

@@ -137,11 +137,12 @@ def _decomposition(member_sets, n, tiny=()):
 def fingerprint(decomposition):
     """Relabelling-invariant summary of the flat structure."""
     sizes = tuple(sorted(f.size for f in decomposition.flats))
-    profile = []
-    for i in range(decomposition.n):
-        through = sorted(f.size for f in decomposition.flats if i in f.members)
-        profile.append(tuple(through))
-    return MatroidFingerprint(sizes, tuple(profile), tuple(sorted(profile)))
+    through = [[] for _ in range(decomposition.n)]
+    for f in decomposition.flats:
+        for i in f.members:
+            through[i].append(f.size)
+    profile = tuple(tuple(sorted(t)) for t in through)
+    return MatroidFingerprint(sizes, profile, tuple(sorted(profile)))
 
 
 class _BudgetExceeded(Exception):

@@ -55,11 +55,6 @@ class ProjectivePoint:
         v.setflags(write=False)
         self.coordinates = v
 
-    def same_as(self, other, rtol=None):
-        tol = max(resolve(rtol), 1e-12)
-        d = abs(float(self.coordinates @ other.coordinates))
-        return d > 1.0 - tol
-
     def angular_error(self, other):
         """sin of the angle between the two lines (sign-insensitive).
 
@@ -186,10 +181,6 @@ class BranchStep:
 class ReconstructionScript:
     basis_labels: tuple
     items: tuple  # Steps and at most one BranchStep, in execution order
-
-    @property
-    def steps(self):
-        return tuple(s for s in self.items if isinstance(s, Step))
 
     @property
     def branch_step(self):

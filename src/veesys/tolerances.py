@@ -24,11 +24,6 @@ TINY_NORM = 1e-7
 _rtol = DEFAULT_RTOL
 
 
-def get_rtol():
-    """Current global relative tolerance."""
-    return _rtol
-
-
 def set_rtol(value):
     """Set the global relative tolerance; returns the previous value."""
     global _rtol

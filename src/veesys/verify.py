@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matroid
-from .core import canonical_form, pairing, pairing_matrix, restrict_forms
-from .errors import BadEmbedding, NotMultiFlat
+from .errors import BadEmbedding, DegeneratePlane, NotMultiFlat
 from .projective import ProjectivePoint, cross_ratio
 from .tolerances import resolve
 
@@ -71,7 +69,24 @@ class ExtensionReport:
     per_flat_ratios: dict = field(default_factory=dict)
 
 
-def check_vee(config, rtol=None, decomposition=None):
+def plane_analysis(config, rtol=None):
+    """The configuration's shared PlaneAnalysis, checked at ``rtol``.
+
+    Raises DegeneratePlane when the first two members of a multi flat have
+    numerically proportional duals.
+    """
+    tol = resolve(rtol)
+    analysis = config.analysis
+    for k in analysis.decomposition.multi_flats:
+        if analysis.ratios[k] < tol:
+            i, j = analysis.decomposition.flats[k].members[:2]
+            raise DegeneratePlane(
+                f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
+            )
+    return analysis
+
+
+def check_vee(config, rtol=None):
     """Verify the plane-by-plane conditions; returns a VeeReport.
 
     Pair-flat residual: |<alpha, beta>| normalized by the canonical norms.
@@ -79,52 +94,38 @@ def check_vee(config, rtol=None, decomposition=None):
     nu * (restricted G), with nu the least-squares factor.
     """
     tol = resolve(rtol)
-    form = canonical_form(config)
-    decomp = decomposition or matroid.decompose(config)
-    P = pairing_matrix(config, form)
-
+    analysis = plane_analysis(config, tol)
     verdicts = []
     nu_function = {}
-    max_residual = 0.0
-    for f in decomp.flats:
+    for f, residual, nu in zip(analysis.decomposition.flats,
+                               analysis.residuals.tolist(), analysis.nus.tolist()):
         labels = config.sublabels(f.members)
         if f.is_pair:
-            i, j = f.members
-            residual = abs(P[i, j]) / np.sqrt(P[i, i] * P[j, j])
-            verdicts.append(FlatVerdict(labels, "pair", float(residual)))
+            verdicts.append(FlatVerdict(labels, "pair", residual))
         else:
-            pf = restrict_forms(config, form, f, rtol=tol)
-            g, gp = pf.restricted_gram, pf.restricted_plane_gram
-            nu_lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
-            residual = float(
-                np.linalg.norm(gp - nu_lsq * g) / np.linalg.norm(gp)
-            )
-            nu = nu_trace(config, f, form=form)
             nu_function[labels] = nu
             verdicts.append(FlatVerdict(labels, "multi", residual, nu))
-        max_residual = max(max_residual, residual)
 
     return VeeReport(
-        is_vee_system=bool(max_residual < tol),
+        is_vee_system=bool(analysis.max_residual < tol),
         per_flat=tuple(verdicts),
-        max_residual=float(max_residual),
+        max_residual=analysis.max_residual,
         nu_function=nu_function,
-        decomposition=decomp,
-        form=form,
+        decomposition=analysis.decomposition,
+        form=analysis.form,
         rtol=tol,
     )
 
 
-def nu_trace(config, flat, form=None):
+def nu_trace(config, flat):
     """nu of a multi flat via the trace formula 1/2 sum |alpha|^2."""
     members = list(flat.members) if hasattr(flat, "members") else list(flat)
     if len(members) < 3:
         raise NotMultiFlat(f"flat {members} has fewer than three members")
-    form = form or canonical_form(config)
-    return 0.5 * sum(pairing(config, form, k, k) for k in members)
+    return 0.5 * float(np.diag(config.analysis.pairings)[members].sum())
 
 
-def solve_weights(config, rtol=None, report=None):
+def solve_weights(config, rtol=None):
     """Solve the admissibility system: per covector, the weights of the
     multi flats through it must sum to 1.
 
@@ -132,16 +133,11 @@ def solve_weights(config, rtol=None, report=None):
     reads 0 = 1).  When the solution space has positive dimension the
     minimum-norm solution is returned with status "underdetermined".
     """
-    tol = resolve(rtol)
-    report = report or check_vee(config, rtol=tol)
-    decomp = report.decomposition
-    multi = [decomp.flats[k] for k in decomp.multi_flats]
-    n = decomp.n
-    M = np.zeros((n, len(multi)))
-    for col, f in enumerate(multi):
-        for i in f.members:
-            M[i, col] = 1.0
-    ones = np.ones(n)
+    analysis = plane_analysis(config, rtol)
+    decomp = analysis.decomposition
+    multi = list(decomp.multi_flats)
+    M = analysis.incidence[:, multi].astype(float)
+    ones = np.ones(decomp.n)
     if len(multi) == 0:
         return WeightSolution("infeasible", residual=1.0)
     x, *_ = np.linalg.lstsq(M, ones, rcond=None)
@@ -151,27 +147,13 @@ def solve_weights(config, rtol=None, report=None):
     rank = np.linalg.matrix_rank(M, tol=1e-9)
     status = "underdetermined" if rank < len(multi) else "feasible"
     weights = {
-        config.sublabels(f.members): float(x[col]) for col, f in enumerate(multi)
+        config.sublabels(decomp.flats[k].members): float(x[col])
+        for col, k in enumerate(multi)
     }
-    nus = np.array([report.nu_function[config.sublabels(f.members)] for f in multi])
-    return WeightSolution(status, weights, float(x @ nus), residual)
+    return WeightSolution(status, weights, float(x @ analysis.nus[multi]), residual)
 
 
-def orthogonal_pairs(config, form, members, rtol=None):
-    """Member pairs (0-based index pairs) with vanishing canonical product."""
-    tol = max(resolve(rtol), 1e-9)
-    found = []
-    for i, j in itertools.combinations(members, 2):
-        val = abs(pairing(config, form, i, j))
-        scale = np.sqrt(
-            pairing(config, form, i, i) * pairing(config, form, j, j)
-        )
-        if val / scale < tol * 10:
-            found.append((i, j))
-    return found
-
-
-def check_harmonic(config, rtol=None, report=None):
+def check_harmonic(config, rtol=None):
     """Cross-ratio check on every 4-member flat.
 
     For each 4-flat, locate the orthogonal pair(s) and evaluate the
@@ -183,14 +165,15 @@ def check_harmonic(config, rtol=None, report=None):
     cross-ratio.
     """
     tol = resolve(rtol)
-    report = report or check_vee(config, rtol=tol)
-    decomp, form = report.decomposition, report.form
+    analysis = plane_analysis(config, tol)
+    P = analysis.pairings
     records = []
-    for f in decomp.flats:
+    for f in analysis.decomposition.flats:
         if f.size != 4:
             continue
         labels = config.sublabels(f.members)
-        pairs = orthogonal_pairs(config, form, f.members, rtol=tol)
+        pairs = [(i, j) for i, j in itertools.combinations(f.members, 2)
+                 if abs(P[i, j]) / np.sqrt(P[i, i] * P[j, j]) < max(tol, 1e-9) * 10]
         if not pairs:
             records.append(
                 HarmonicRecord(labels, None, None, False, "NoOrthogonalPair")
@@ -246,12 +229,11 @@ def check_extension(inner, outer, embedding, rtol=None):
         if np.abs(minors).max() > max(tol, 1e-9) * 100:
             return ExtensionReport(False, None)
 
-    inner_report = check_vee(inner, rtol=tol)
-    outer_report = check_vee(outer, rtol=tol)
-    in_dec, out_dec = inner_report.decomposition, outer_report.decomposition
-
+    in_plan, out_plan = plane_analysis(inner, tol), plane_analysis(outer, tol)
+    in_dec, out_flats = in_plan.decomposition, out_plan.decomposition.flats
     outer_flat_of_pair = {
-        pair: f for f in out_dec.flats for pair in itertools.combinations(f.members, 2)
+        pair: m for m, f in enumerate(out_flats)
+        for pair in itertools.combinations(f.members, 2)
     }
     image = set(emb)
     ratios = {}
@@ -259,12 +241,9 @@ def check_extension(inner, outer, embedding, rtol=None):
     for k in in_dec.multi_flats:
         f = in_dec.flats[k]
         labels = inner.sublabels(f.members)
-        nu_in = inner_report.nu_function[labels]
-        i0, i1 = sorted((emb[f.members[0]], emb[f.members[1]]))
-        outer_flat = outer_flat_of_pair[i0, i1]
-        nu_out = outer_report.nu_function[outer.sublabels(outer_flat.members)]
-        ratios[labels] = nu_in / nu_out
-        if set(outer_flat.members) <= image:
+        m = outer_flat_of_pair[tuple(sorted((emb[f.members[0]], emb[f.members[1]])))]
+        ratios[labels] = float(in_plan.nus[k] / out_plan.nus[m])
+        if set(out_flats[m].members) <= image:
             values.append(ratios[labels])
 
     if values and (max(values) - min(values)) < max(tol, 1e-8) * abs(values[0]) * 10:

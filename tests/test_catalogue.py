@@ -27,6 +27,31 @@ def test_checksum_is_stable():
     assert catalogue.entry("H3") is catalogue.entry("H3")
 
 
+def test_c_and_pure_yaml_loaders_agree(monkeypatch):
+    import yaml
+
+    import veesys.catalogue as cat
+
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    loaded = {}
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(cat, "YAML_LOADER", loader)
+        cat._load.cache_clear()
+        try:
+            loaded[loader] = cat._load()
+        finally:
+            cat._load.cache_clear()
+    (c_entries, c_aux, c_rel), (entries, aux, rel) = loaded.values()
+    assert c_entries == entries
+    assert [e.default_grid for e in c_entries.values()] == [
+        e.default_grid for e in entries.values()]
+    assert [e.flats for e in c_entries.values()] == [e.flats for e in entries.values()]
+    assert c_rel == rel
+    assert c_aux.keys() == aux.keys()
+    assert all(np.array_equal(c_aux[k], aux[k]) for k in aux)
+
+
 def test_entry_verification_spot_checks():
     for ident, params in [
         ("A3", {"c1": 2, "c2": 1, "c3": 0.5}),

@@ -103,6 +103,17 @@ def test_matroid_reports_fingerprint(runner):
     assert "multiFlats: 4" in result.output
 
 
+def test_matroid_rank_four_is_usage_error(runner, tmp_path):
+    path = tmp_path / "rank4.json"
+    rng = np.random.default_rng(4)
+    io.save_document(CovectorConfiguration(rng.standard_normal((4, 5))), path)
+    for command in ("matroid", "verify"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert "error: flat enumeration supports rank <= 3" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_weights_infeasible_exit(runner):
     result = runner.invoke(main, ["weights", "--catalogue", "D3",
                                   "--params", "t=1,s=1"])

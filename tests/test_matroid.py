@@ -113,6 +113,32 @@ def test_fingerprint_is_relabelling_invariant():
     ).digest
 
 
+def _reference_point_profile(decomp):
+    """Per covector, the sorted sizes of the flats through it: one scan of
+    all flats per covector."""
+    return tuple(
+        tuple(sorted(f.size for f in decomp.flats if i in f.members))
+        for i in range(decomp.n)
+    )
+
+
+def test_fingerprint_matches_per_covector_definition():
+    rng = np.random.default_rng(11)
+    configs = [config for _, config in _grid_points()]
+    configs += [CovectorConfiguration(rng.standard_normal((3, n)))
+                for n in (4, 9, 17, 30, 48)]
+    configs += [_planted_lines(rng, sizes, generic)[0]
+                for sizes, generic in [((3,), 3), ((5, 4, 3), 6), ((6, 6), 10)]]
+    assert len(configs) == 37 + 5 + 3
+    for config in configs:
+        decomp = decompose(config)
+        profile = _reference_point_profile(decomp)
+        fp = fingerprint(decomp)
+        assert fp.point_profile == profile
+        assert fp.canonical_profile == tuple(sorted(profile))
+        assert fp.flat_size_multiset == tuple(sorted(f.size for f in decomp.flats))
+
+
 def test_same_matroid_yes_on_permutation():
     config = catalogue.construct("F3", {"t": 1})
     perm = list(reversed(range(config.n)))

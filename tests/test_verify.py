@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from veesys import (
+    DEFAULT_RTOL,
     CovectorConfiguration,
     catalogue,
     canonical_form,
@@ -9,10 +10,14 @@ from veesys import (
     check_harmonic,
     check_vee,
     decompose,
+    deform,
+    dual,
     nu_trace,
+    pairing,
     solve_weights,
 )
-from veesys.errors import BadEmbedding, NotMultiFlat
+from veesys.core import restrict_forms
+from veesys.errors import BadEmbedding, NotMultiFlat, VeesysError
 
 
 def test_check_vee_accepts_h3():
@@ -129,3 +134,139 @@ def test_partial_ratio_reporting():
     assert report.nu_ratio == pytest.approx(2.5, rel=1e-9)
     values = sorted(set(round(v, 6) for v in report.per_flat_ratios.values()))
     assert values == [pytest.approx(5 / 6), pytest.approx(2.5)]
+
+
+def _grid_points():
+    for ident in catalogue.ids():
+        for params in catalogue.entry(ident).default_grid:
+            yield f"{ident}{params}", catalogue.construct(ident, params)
+
+
+def _gl3_images(rng, per_family):
+    """Images of every family's first grid point under random GL(3) maps
+    with condition number below 100, as in the C11 battery."""
+    for ident in catalogue.ids():
+        base = catalogue.construct(ident, catalogue.entry(ident).default_grid[0])
+        for k in range(per_family):
+            while True:
+                C = rng.standard_normal((3, 3))
+                if np.linalg.cond(C) < 100:
+                    break
+            yield f"{ident} image {k}", base.transformed(C)
+
+
+def _reference_planes(config):
+    """Per flat (labels, residual, least-squares nu, trace nu, ratio of the
+    first two duals), from restrict_forms and one pairing call per entry,
+    without the shared analysis."""
+    form = canonical_form(config)
+    planes = []
+    for f in decompose(config).flats:
+        i, j = f.members[:2]
+        trace = 0.5 * sum(pairing(config, form, k, k) for k in f.members)
+        u, v = dual(config, form, i), dual(config, form, j)
+        ratio = np.linalg.norm(np.outer(u, v) - np.outer(v, u)) / (
+            np.linalg.norm(u) * np.linalg.norm(v))
+        if f.is_pair:
+            scale = np.sqrt(pairing(config, form, i, i) * pairing(config, form, j, j))
+            planes.append((config.sublabels(f.members),
+                           abs(pairing(config, form, i, j)) / scale, None, trace, ratio))
+            continue
+        pf = restrict_forms(config, form, f)
+        g, gp = pf.restricted_gram, pf.restricted_plane_gram
+        lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
+        residual = float(np.linalg.norm(gp - lsq * g) / np.linalg.norm(gp))
+        planes.append((config.sublabels(f.members), residual, lsq, trace, ratio))
+    return planes
+
+
+def test_shared_analysis_matches_restrict_forms_reference():
+    rng = np.random.default_rng(1234)
+    images = list(_gl3_images(rng, 3))
+    # per-covector scaling keeps the flats and breaks the plane conditions
+    perturbed = [(f"{name} scaled", config.scaled(1 + 1e-2 * rng.standard_normal(config.n)))
+                 for name, config in images[::3]]
+    points = list(_grid_points()) + images + perturbed
+    assert len(points) == 37 + 17 * 3 + 17
+    for name, config in points:
+        report = check_vee(config)
+        assert report.is_vee_system == ("scaled" not in name), name
+        reference = _reference_planes(config)
+        assert [v.flat for v in report.per_flat] == [p[0] for p in reference], name
+        for k, (verdict, (_, residual, lsq, trace, ratio)) in enumerate(
+                zip(report.per_flat, reference)):
+            # residuals are relative deviations already
+            assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
+            assert config.analysis.ratios[k] == pytest.approx(ratio, rel=1e-12)
+            if lsq is None:
+                assert verdict.nu is None
+                continue
+            assert verdict.nu == pytest.approx(trace, rel=1e-12), (name, verdict)
+            if report.is_vee_system:
+                assert verdict.nu == pytest.approx(lsq, rel=1e-12), (name, verdict)
+
+
+def _chain(config, rtol=None):
+    """The five public calls of the analysis chain, each outcome or the
+    name of the error it raised."""
+    outcomes = []
+    for call in (
+        lambda: check_vee(config, rtol=rtol),
+        lambda: solve_weights(config, rtol=rtol),
+        lambda: check_harmonic(config, rtol=rtol),
+        lambda: deform.build_system(config, deform.FREE_NU, rtol=rtol).corank,
+        lambda: deform.rigidity_test(config, rtol=rtol)["corank"],
+    ):
+        try:
+            outcome = call()
+        except VeesysError as exc:
+            outcome = type(exc).__name__
+        if hasattr(outcome, "form"):  # a VeeReport: compare its verdicts
+            outcome = (outcome.is_vee_system, outcome.max_residual,
+                       outcome.per_flat, outcome.nu_function)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def test_chain_decomposes_and_forms_once(monkeypatch):
+    from veesys import core, matroid
+
+    counts = {"decompose": 0, "canonical_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matroid, "decompose", counted("decompose", matroid.decompose))
+    monkeypatch.setattr(core, "canonical_form",
+                        counted("canonical_form", core.canonical_form))
+    config = catalogue.construct("H4A1", {})
+    outcomes = _chain(config)
+    assert not any(isinstance(o, str) for o in outcomes), outcomes
+    assert counts == {"decompose": 1, "canonical_form": 1}
+
+
+def test_cached_analysis_holds_no_tolerance():
+    def configs():
+        h3 = catalogue.construct("H3", {})
+        # per-covector scaling keeps the flats but breaks the plane conditions
+        # by about 1e-6, so the verdict flips between 1e-3 and the default
+        scales = 1.0 + 1e-6 * np.random.default_rng(5).standard_normal(h3.n)
+        return h3, h3.scaled(scales)
+
+    cached = configs()
+    for rtol in (DEFAULT_RTOL, 1e-30, 1e-3, DEFAULT_RTOL):
+        for config, fresh in zip(cached, configs()):
+            assert _chain(config, rtol) == _chain(fresh, rtol), rtol
+    assert _chain(cached[1], 1e-3)[0][0] and not _chain(cached[1], DEFAULT_RTOL)[0][0]
+    assert _chain(cached[0], 1e-30)[3] == "NotAVeeSystem"
+
+    # DegeneratePlane reads each multi flat's stored proportionality ratio
+    config = cached[0]
+    analysis = config.analysis
+    smallest = min(analysis.ratios[k] for k in analysis.decomposition.multi_flats)
+    assert _chain(config, 1.01 * smallest) == ["DegeneratePlane"] * 5
+    assert "DegeneratePlane" not in _chain(config, 0.99 * smallest)
+    assert _chain(config) == _chain(configs()[0])
