@@ -41,7 +41,7 @@ from .projective import (
     run_reconstruction,
     to_projective,
 )
-from .tolerances import DEFAULT_RTOL, set_rtol
+from .tolerances import DEFAULT_RTOL
 from .verify import (
     ExtensionReport,
     VeeReport,
@@ -87,7 +87,6 @@ __all__ = [
     "same_matroid",
     "save_document",
     "scan_family",
-    "set_rtol",
     "solve_weights",
     "to_projective",
 ]

@@ -20,7 +20,7 @@ import yaml
 
 from . import matroid
 from .core import CovectorConfiguration
-from .errors import InadmissibleParameters, VeesysError
+from .errors import InadmissibleParameters, UnknownEntry, VeesysError
 from .expressions import evaluate
 from .tolerances import resolve
 from .verify import check_extension, check_vee
@@ -195,7 +195,7 @@ def ids():
 def entry(entry_id):
     entries = _load()[0]
     if entry_id not in entries:
-        raise KeyError(f"unknown catalogue id {entry_id!r}; known: {sorted(entries)}")
+        raise UnknownEntry(f"unknown catalogue id {entry_id!r}; known: {sorted(entries)}")
     return entries[entry_id]
 
 
@@ -207,7 +207,7 @@ def relations(kind=None):
 def auxiliary_configuration(aux_id):
     aux = _load()[1]
     if aux_id not in aux:
-        raise KeyError(f"unknown auxiliary configuration {aux_id!r}")
+        raise UnknownEntry(f"unknown auxiliary configuration {aux_id!r}")
     return CovectorConfiguration(aux[aux_id])
 
 
@@ -233,7 +233,7 @@ def verify_entry(entry_id, params=None, rtol=None):
     report.notes.extend(ent.notes)
     try:
         config = construct(entry_id, params)
-    except Exception as exc:
+    except (VeesysError, ValueError) as exc:
         report.passed = False
         report.failures.append(f"construction failed: {exc}")
         return report

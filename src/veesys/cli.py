@@ -4,27 +4,25 @@ Report format: plain structured text, one ``key: value`` pair per line,
 two-space indentation for nested records, deterministic for a fixed input
 and tolerance (no timestamps inside the payload; timing is a trailing
 comment line).  Exit codes: 0 = pass, 1 = semantic failure (checks ran and
-failed), 2 = usage, parse or admissibility error.
+failed), 2 = usage, parse or admissibility error (any VeesysError, which
+the command group turns into ``error: ...`` on stderr).  ``--rtol`` is kept
+in the click context and passed to every check a command calls.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import time
 from importlib import metadata
 
 import click
-import numpy as np
 
 from . import catalogue, deform, io, matroid, verify
-from .errors import (
-    DocumentFormatError,
-    InadmissibleParameters,
-    VeesysError,
-)
+from .errors import VeesysError
 from .projective import load_script, run_reconstruction, to_projective
-from .tolerances import resolve, set_rtol
+from .tolerances import resolve
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -40,11 +38,12 @@ class Report:
     """Accumulates the structured-text report."""
 
     def __init__(self, command, digest):
+        rtol = resolve(click.get_current_context().obj)
         self.lines = [
             f"tool: veesys {_version()}",
             f"command: {command}",
             f"input: {digest}",
-            f"rtol: {resolve(None):.3e}",
+            f"rtol: {rtol:.3e}",
         ]
         self.started = time.monotonic()
 
@@ -79,48 +78,61 @@ def _parse_params(text):
     return params
 
 
-def _load(path, catalogue_id, params_text):
-    """Resolve the input configuration and a digest describing it."""
+def _spec(params):
+    return ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
+
+
+def _open(command, path, catalogue_id, params_text):
+    """The input configuration of a command and the report describing it."""
     if (path is None) == (catalogue_id is None):
         raise click.UsageError("give exactly one of INPUT or --catalogue")
     if path is not None:
         config = io.load_document(path)
         with open(path, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()[:16]
-        return config, f"{path} sha256:{digest}"
+        return config, Report(command, f"{path} sha256:{digest}")
     params = _parse_params(params_text)
     config = catalogue.construct(catalogue_id, params)
-    spec = ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
-    return config, f"catalogue:{catalogue_id}({spec})"
+    return config, Report(command, f"catalogue:{catalogue_id}({_spec(params)})")
 
 
-def _fail_usage(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(USAGE)
-
-
-input_argument = click.argument(
-    "input", required=False, type=click.Path(), default=None
-)
-catalogue_option = click.option(
-    "--catalogue", "catalogue_id", default=None, help="catalogue family id"
-)
-params_option = click.option(
-    "--params", "params_text", default="", help="family parameters k=v[,k=v]"
-)
 out_option = click.option("--out", default=None, help="write the report here")
 
 
-@click.group()
+def configuration_options(command):
+    """INPUT or --catalogue/--params, and --out, in that order."""
+    for option in (
+        out_option,
+        click.option("--params", "params_text", default="",
+                     help="family parameters k=v[,k=v]"),
+        click.option("--catalogue", "catalogue_id", default=None,
+                     help="catalogue family id"),
+        click.argument("input", required=False, type=click.Path(), default=None),
+    ):
+        command = option(command)
+    return command
+
+
+class CommandGroup(click.Group):
+    """Reports a VeesysError from any subcommand as ``error: ...``, exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except VeesysError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(USAGE)
+
+
+@click.group(cls=CommandGroup)
 @click.option("--rtol", type=float, default=None, help="relative tolerance")
 @click.version_option(_version())
-def main(rtol):
+@click.pass_context
+def main(ctx, rtol):
     """Verification and deformation analysis of covector configurations."""
-    if rtol is not None:
-        try:
-            set_rtol(rtol)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+    if rtol is not None and not (rtol > 0 and math.isfinite(rtol)):
+        raise click.UsageError(f"rtol must be positive and finite, got {rtol}")
+    ctx.obj = rtol
 
 
 def _flat_label(config, flat):
@@ -128,18 +140,12 @@ def _flat_label(config, flat):
 
 
 @main.command("verify")
-@input_argument
-@catalogue_option
-@params_option
-@out_option
-def cmd_verify(input, catalogue_id, params_text, out):
+@configuration_options
+@click.pass_obj
+def cmd_verify(rtol, input, catalogue_id, params_text, out):
     """Check the orthogonality/proportionality conditions plane by plane."""
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("verify", digest)
-        vee = verify.check_vee(config)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("verify", input, catalogue_id, params_text)
+    vee = verify.check_vee(config, rtol=rtol)
     report.add("covectors", config.n)
     report.add("dimension", config.dimension)
     report.add("isVeeSystem", vee.is_vee_system)
@@ -155,18 +161,11 @@ def cmd_verify(input, catalogue_id, params_text, out):
 
 
 @main.command("matroid")
-@input_argument
-@catalogue_option
-@params_option
-@out_option
+@configuration_options
 def cmd_matroid(input, catalogue_id, params_text, out):
     """Print the rank-2 flat decomposition and its fingerprint."""
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("matroid", digest)
-        decomp = matroid.decompose(config)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("matroid", input, catalogue_id, params_text)
+    decomp = matroid.decompose(config)
     fp = matroid.fingerprint(decomp)
     report.add("covectors", decomp.n)
     report.add("pairFlats", len(decomp.pair_flats))
@@ -180,18 +179,12 @@ def cmd_matroid(input, catalogue_id, params_text, out):
 
 
 @main.command("nu")
-@input_argument
-@catalogue_option
-@params_option
-@out_option
-def cmd_nu(input, catalogue_id, params_text, out):
+@configuration_options
+@click.pass_obj
+def cmd_nu(rtol, input, catalogue_id, params_text, out):
     """Print the nu-function on the multi flats."""
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("nu", digest)
-        vee = verify.check_vee(config)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("nu", input, catalogue_id, params_text)
+    vee = verify.check_vee(config, rtol=rtol)
     report.section("nu")
     for labels, value in sorted(vee.nu_function.items()):
         report.add("(" + " ".join(labels) + ")", f"{value:.12g}", indent=1)
@@ -200,18 +193,12 @@ def cmd_nu(input, catalogue_id, params_text, out):
 
 
 @main.command("weights")
-@input_argument
-@catalogue_option
-@params_option
-@out_option
-def cmd_weights(input, catalogue_id, params_text, out):
+@configuration_options
+@click.pass_obj
+def cmd_weights(rtol, input, catalogue_id, params_text, out):
     """Solve the per-covector weight system and print the universal value."""
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("weights", digest)
-        solution = verify.solve_weights(config)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("weights", input, catalogue_id, params_text)
+    solution = verify.solve_weights(config, rtol=rtol)
     report.add("status", solution.status)
     if solution.weights is not None:
         report.add("universalValue", f"{solution.universal_value:.12g}")
@@ -223,18 +210,12 @@ def cmd_weights(input, catalogue_id, params_text, out):
 
 
 @main.command("harmonic")
-@input_argument
-@catalogue_option
-@params_option
-@out_option
-def cmd_harmonic(input, catalogue_id, params_text, out):
+@configuration_options
+@click.pass_obj
+def cmd_harmonic(rtol, input, catalogue_id, params_text, out):
     """Cross-ratio check on all 4-member flats (expected value -1)."""
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("harmonic", digest)
-        records = verify.check_harmonic(config)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("harmonic", input, catalogue_id, params_text)
+    records = verify.check_harmonic(config, rtol=rtol)
     all_ok = all(r.verdict for r in records) if records else True
     report.add("fourFlats", len(records))
     report.add("allHarmonic", all_ok)
@@ -253,26 +234,23 @@ def cmd_harmonic(input, catalogue_id, params_text, out):
 
 
 @main.command("deform")
-@input_argument
-@catalogue_option
-@params_option
+@configuration_options
 @click.option("--mode", type=click.Choice(["free", "fixed"]), default="free")
 @click.option("--grid", "grid_flag", is_flag=True,
               help="scan the family's default parameter grid")
-@out_option
-def cmd_deform(input, catalogue_id, params_text, mode, grid_flag, out):
+@click.pass_obj
+def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag, out):
     """Corank analysis of the linearised deformation system."""
-    mode_name = deform.FREE_NU if mode == "free" else deform.FIXED_NU
     if grid_flag:
         if catalogue_id is None:
             raise click.UsageError("--grid requires --catalogue")
         report = Report("deform", f"catalogue:{catalogue_id}(grid)")
-        rows = deform.scan_family(catalogue_id)
+        rows = deform.scan_family(catalogue_id, rtol=rtol)
         report.add("mode", "both")
         report.section("grid")
         ok = True
         for row in rows:
-            spec = ",".join(f"{k}={v!r}" for k, v in sorted(row["parameters"].items()))
+            spec = _spec(row["parameters"])
             if "error" in row:
                 report.add(f"({spec})", row["error"], indent=1)
                 ok = False
@@ -284,12 +262,9 @@ def cmd_deform(input, catalogue_id, params_text, mode, grid_flag, out):
                 )
         report.write(out)
         sys.exit(PASS if ok else FAIL)
-    try:
-        config, digest = _load(input, catalogue_id, params_text)
-        report = Report("deform", digest)
-        system = deform.build_system(config, mode_name)
-    except (DocumentFormatError, InadmissibleParameters, KeyError, VeesysError) as exc:
-        _fail_usage(exc)
+    config, report = _open("deform", input, catalogue_id, params_text)
+    mode_name = deform.FREE_NU if mode == "free" else deform.FIXED_NU
+    system = deform.build_system(config, mode_name, rtol=rtol)
     report.add("mode", system.mode)
     report.add("rank", system.rank)
     report.add("corank", system.corank)
@@ -302,18 +277,16 @@ def cmd_deform(input, catalogue_id, params_text, mode, grid_flag, out):
 @click.argument("name", type=click.Choice(sorted(catalogue.SCRIPT_REFERENCES)))
 @click.option("--branch", type=click.Choice(["plus", "minus"]), default=None)
 @out_option
-def cmd_reconstruct(name, branch, out):
+@click.pass_obj
+def cmd_reconstruct(rtol, name, branch, out):
     """Run a shipped reconstruction script against its reference system."""
     report = Report("reconstruct", f"script:{name}")
     config, basis = catalogue.script_reference(name)
     script = load_script(catalogue.script_path(name))
     reference = to_projective(config)
-    try:
-        env = run_reconstruction(
-            script, [reference[l] for l in basis], branch=branch
-        )
-    except VeesysError as exc:
-        _fail_usage(exc)
+    env = run_reconstruction(
+        script, [reference[l] for l in basis], branch=branch, rtol=rtol
+    )
     report.add("basis", " ".join(basis))
     report.add("branch", branch or "-")
     worst = 0.0
@@ -373,7 +346,8 @@ def catalogue_relations(out):
 @click.option("--strict", is_flag=True,
               help="exclude flagged relation rows from the run")
 @out_option
-def catalogue_verify_all(strict, out):
+@click.pass_obj
+def catalogue_verify_all(rtol, strict, out):
     """Verify every entry on its default grid and every relation row."""
     report = Report("catalogue verify-all",
                     f"data sha256:{catalogue.data_checksum()[:16]}")
@@ -383,10 +357,9 @@ def catalogue_verify_all(strict, out):
         ent = catalogue.entry(ident)
         grid = ent.default_grid or [{}]
         for params in grid:
-            check = catalogue.verify_entry(ident, params)
-            spec = ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
+            check = catalogue.verify_entry(ident, params, rtol=rtol)
             status = "pass" if check.passed else "FAIL " + "; ".join(check.failures)
-            report.add(f"{ident}({spec})", status, indent=1)
+            report.add(f"{ident}({_spec(params)})", status, indent=1)
             failures += 0 if check.passed else 1
     report.section("relations")
     for kind in ("extension", "degeneration"):
@@ -394,7 +367,7 @@ def catalogue_verify_all(strict, out):
             if strict and rel.flagged:
                 report.add(rel.description, "skipped (flagged, --strict)", indent=1)
                 continue
-            check = catalogue.verify_relation(rel)
+            check = catalogue.verify_relation(rel, rtol=rtol)
             status = "pass" if check.passed else "FAIL " + "; ".join(check.failures)
             report.add(rel.description, status, indent=1)
             failures += 0 if check.passed else 1

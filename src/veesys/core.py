@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matroid
 from .errors import DegeneratePlane, SingularForm
-from .tolerances import resolve
+from .tolerances import DEFAULT_RTOL, resolve
 
 
 def _as_readonly(a):
@@ -32,8 +32,9 @@ def _as_readonly(a):
 class CovectorConfiguration:
     """A labelled, ordered set of covectors (columns of ``matrix``).
 
-    Invariants enforced at construction: the covectors span the full
-    r-dimensional space, none is zero, and no two are proportional.
+    Invariants enforced at construction: every entry is finite, the
+    covectors span the full r-dimensional space, none is zero, and no two
+    are proportional (2x2 minors below the fixed DEFAULT_RTOL).
     """
 
     matrix: np.ndarray  # r x n, covectors as columns
@@ -53,6 +54,9 @@ class CovectorConfiguration:
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
+
+        if not np.isfinite(matrix).all():
+            raise ValueError("covector entries must be finite")
 
         norms = np.linalg.norm(matrix, axis=0)
         if np.any(norms == 0.0):
@@ -74,7 +78,7 @@ class CovectorConfiguration:
             minors = (
                 np.outer(unit[:, i], unit[:, j]) - np.outer(unit[:, j], unit[:, i])
             )
-            if np.abs(minors).max() < resolve(None):
+            if np.abs(minors).max() < DEFAULT_RTOL:
                 raise ValueError(
                     f"covectors {labels[i]} and {labels[j]} are proportional"
                 )

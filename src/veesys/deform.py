@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAVeeSystem, Reducible
+from .errors import NotAVeeSystem, Reducible, VeesysError
 from .tolerances import RANK_RTOL, resolve
 from .verify import plane_analysis
 
@@ -140,7 +140,8 @@ def scan_family(family_id, grid=None, rtol=None):
     """Coranks of both modes over a parameter grid of a catalogue family.
 
     ``grid`` is a list of parameter dicts; defaults to the family's shipped
-    grid.  Constructor failures are collected per point, not raised.
+    grid.  Construction and check failures (VeesysError, ValueError) are
+    collected per point, not raised.
     """
     from . import catalogue  # local import: catalogue depends on this package
 
@@ -152,7 +153,7 @@ def scan_family(family_id, grid=None, rtol=None):
             config = catalogue.construct(family_id, params)
             row["freeNuCorank"] = build_system(config, FREE_NU, rtol=rtol).corank
             row["fixedNuCorank"] = build_system(config, FIXED_NU, rtol=rtol).corank
-        except Exception as exc:  # collected, not fatal
+        except (VeesysError, ValueError) as exc:  # collected, not fatal
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

@@ -85,3 +85,9 @@ class ScriptFormatError(VeesysError):
 
 class DocumentFormatError(VeesysError):
     """A configuration document could not be parsed; message carries field context."""
+
+
+class UnknownEntry(VeesysError, KeyError):
+    """No catalogue entry or auxiliary configuration has the requested id."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr

@@ -62,6 +62,10 @@ def parse_document(text):
                 matrix[i, j] = float(value)
             except ValueError:
                 _fail(f"field 'covectors[{j}][{i}]': cannot parse {value!r}")
+    nonfinite = np.argwhere(~np.isfinite(matrix.T))  # (j, i), column by column
+    if len(nonfinite):
+        j, i = nonfinite[0]
+        _fail(f"field 'covectors[{j}][{i}]': {columns[j][i]!r} is not finite")
 
     labels = doc.get("labels", ())
     if labels and (

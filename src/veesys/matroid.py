@@ -81,15 +81,14 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def decompose(config, coplanar_tol=COPLANAR_TOL):
+def decompose(config):
     """Enumerate the rank-2 flats of a rank-3 configuration.
 
     Covectors are normalized to unit length before the determinant test, so
     the decomposition is invariant under per-covector scaling.  Pairs (i,j),
     (i,k) and (j,k) merge into one flat when det(u_i, u_j, u_k) of the unit
-    covectors vanishes within ``coplanar_tol``.  This threshold is the fixed
-    ``COPLANAR_TOL``, not the relative tolerance (``--rtol``) used by the
-    checks.
+    covectors vanishes within the fixed ``COPLANAR_TOL``, not the relative
+    tolerance (``rtol``) used by the checks.
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
     pairs i < j times the unit covectors, then a union over the coplanar
@@ -111,7 +110,7 @@ def decompose(config, coplanar_tol=COPLANAR_TOL):
     # every k; each coplanar triple is taken once, at its k > j entry.
     first, second = np.triu_indices(n, 1)
     dets = np.cross(unit[:, first].T, unit[:, second].T) @ unit
-    coplanar = (np.abs(dets) < coplanar_tol) & (np.arange(n) > second[:, None])
+    coplanar = (np.abs(dets) < COPLANAR_TOL) & (np.arange(n) > second[:, None])
     rows, third = np.nonzero(coplanar)
 
     # Union-find over unordered pairs; pair (i,j) has id i*n + j for i < j.

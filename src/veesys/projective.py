@@ -280,7 +280,7 @@ def load_script(path):
         return parse_script(handle.read())
 
 
-def _place_by_ratio(step, env, branch_root, rtol):
+def _place_by_ratio(step, env, branch_root):
     """Solve the branch step: point on line(P, Q) with prescribed ratio."""
     P = env[step.line_pair[0]]
     Q = env[step.line_pair[1]]
@@ -354,5 +354,5 @@ def run_reconstruction(script, basis_points, branch=None, rtol=None):
                 root = minus
             else:
                 root = float(branch)
-            env[item.target] = _place_by_ratio(item, env, root, rtol)
+            env[item.target] = _place_by_ratio(item, env, root)
     return env

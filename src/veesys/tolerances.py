@@ -1,9 +1,10 @@
-"""Global numerical tolerance settings.
+"""Numerical tolerance constants.
 
-The verification checks go through the relative tolerance below (default
-1e-9).  It can be overridden globally (the CLI's --rtol flag) or per call,
-since most operations accept an explicit rtol.  Flat enumeration does not
-use it; it tests coplanarity against the fixed COPLANAR_TOL.
+The verification checks take a relative tolerance ``rtol`` per call
+(default DEFAULT_RTOL = 1e-9); the CLI passes its --rtol to each call it
+makes.  Nothing here is mutable.  Construction rejects proportional
+covectors against the fixed DEFAULT_RTOL, and flat enumeration tests
+coplanarity against the fixed COPLANAR_TOL, whatever rtol a check uses.
 """
 
 DEFAULT_RTOL = 1e-9
@@ -21,19 +22,7 @@ RANK_RTOL = 1e-8
 # enumeration (relevant close to parametric limits).
 TINY_NORM = 1e-7
 
-_rtol = DEFAULT_RTOL
-
-
-def set_rtol(value):
-    """Set the global relative tolerance; returns the previous value."""
-    global _rtol
-    if not (value > 0):
-        raise ValueError(f"rtol must be positive, got {value}")
-    previous = _rtol
-    _rtol = float(value)
-    return previous
-
 
 def resolve(rtol=None):
-    """Return the explicit tolerance if given, else the global one."""
-    return _rtol if rtol is None else float(rtol)
+    """The explicit tolerance if given, else DEFAULT_RTOL."""
+    return DEFAULT_RTOL if rtol is None else float(rtol)

@@ -42,7 +42,6 @@ class VeeReport:
     nu_function: dict  # member-label tuple -> nu (multi flats only)
     decomposition: object
     form: object
-    rtol: float
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ def check_vee(config, rtol=None):
         nu_function=nu_function,
         decomposition=analysis.decomposition,
         form=analysis.form,
-        rtol=tol,
     )
 
 
@@ -182,7 +180,7 @@ def check_harmonic(config, rtol=None):
         for i, j in pairs:
             rest = [m for m in f.members if m not in (i, j)]
             pts = [ProjectivePoint(config.covector(m)) for m in rest + [i, j]]
-            value = cross_ratio(*pts)
+            value = cross_ratio(*pts, rtol=tol)
             ok = abs(value + 1.0) < max(tol, 1e-8) * 10
             note = "" if len(pairs) == 1 else f"{len(pairs)}OrthogonalPairs"
             records.append(

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from veesys import catalogue
+from veesys import catalogue, deform
 from veesys.catalogue import CatalogueDataError
-from veesys.errors import InadmissibleParameters
+from veesys.errors import InadmissibleParameters, UnknownEntry, VeesysError
 from veesys.expressions import ExpressionError, evaluate
 
 
@@ -73,6 +73,37 @@ def test_inadmissible_parameters_raise():
 def test_unknown_entry():
     with pytest.raises(KeyError):
         catalogue.entry("Z9")
+
+
+def test_unknown_ids_are_veesys_errors():
+    for lookup, ident in ((catalogue.entry, "Z9"),
+                          (catalogue.auxiliary_configuration, "Z9-roots")):
+        with pytest.raises(UnknownEntry) as info:
+            lookup(ident)
+        assert isinstance(info.value, VeesysError)
+        assert isinstance(info.value, KeyError)
+        assert str(info.value).startswith("unknown ")  # not KeyError's quoted repr
+
+
+@pytest.mark.parametrize("error, collected", [
+    (ValueError("covectors do not span the ambient space"), True),
+    (InadmissibleParameters("H3", "True", {}), True),
+    (TypeError("a programming error"), False),
+])
+def test_only_construction_errors_become_failed_rows(monkeypatch, error, collected):
+    def construct(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(catalogue, "construct", construct)
+    if collected:
+        assert catalogue.verify_entry("H3").failures == [f"construction failed: {error}"]
+        (row,) = deform.scan_family("H3")
+        assert row["error"] == f"{type(error).__name__}: {error}"
+    else:
+        with pytest.raises(TypeError):
+            catalogue.verify_entry("H3")
+        with pytest.raises(TypeError):
+            deform.scan_family("H3")
 
 
 def test_relation_counts():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -199,3 +201,49 @@ def test_catalogue_verify_all_strict(runner):
 def test_bad_rtol_rejected(runner):
     result = runner.invoke(main, ["--rtol", "-1", "verify", "--catalogue", "H3"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+def test_zero_or_non_finite_rtol_rejected(runner, value):
+    result = runner.invoke(main, ["--rtol", value, "verify", "--catalogue", "H3"])
+    assert result.exit_code == 2
+    assert "rtol must be positive and finite" in result.output
+
+
+def test_rtol_does_not_outlive_its_invocation(runner):
+    strict = runner.invoke(main, ["--rtol", "1e-30", "verify", "--catalogue", "H3"])
+    assert strict.exit_code == 1, strict.output
+    plain = runner.invoke(main, ["verify", "--catalogue", "H3"])
+    assert plain.exit_code == 0, plain.output
+    assert "rtol: 1.000e-09" in plain.output
+
+
+def test_rtol_does_not_move_construction(runner):
+    result = runner.invoke(main, ["--rtol", "1e-3", "verify", "--catalogue", "H3"])
+    assert result.exit_code == 0, result.output
+    # covectors 1 and 4 are the closest pair; their largest unit minor is 1e-5
+    matrix = np.array([[1.0, 0.0, 0.0, 1.0],
+                       [0.0, 1.0, 0.0, 1e-5],
+                       [0.0, 0.0, 1.0, 0.0]])
+    assert CovectorConfiguration(matrix).n == 4
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "matroid", "nu", "weights", "harmonic", "deform", "deform --grid",
+])
+def test_unknown_catalogue_id_every_command(runner, command):
+    result = runner.invoke(main, command.split() + ["--catalogue", "Z9"])
+    assert result.exit_code == 2, result.output
+    assert "error: unknown catalogue id 'Z9'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_document_is_usage_error(runner, tmp_path, capfd, value):
+    path = tmp_path / "non-finite.json"
+    columns = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], [value, "1", "1"]]
+    path.write_text(json.dumps({"dimension": 3, "covectors": columns}))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: field 'covectors[3][0]': '{value}' is not finite" in result.output
+    assert capfd.readouterr().err == ""  # nothing written by LAPACK

@@ -104,3 +104,11 @@ def test_singular_form_reports_rank():
         canonical_form(squashed)
     assert info.value.rank == 1
     assert canonical_form(config).condition_number == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(value):
+    matrix = np.eye(3)
+    matrix[1, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        CovectorConfiguration(matrix)

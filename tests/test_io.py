@@ -56,6 +56,13 @@ def test_document_fields():
             '{"dimension": 2, "covectors": [["1", "0"], ["2", "0"]]}',
             "invalid configuration",
         ),
+        *(
+            (
+                f'{{"dimension": 2, "covectors": [["1", "0"], ["0", "{value}"]]}}',
+                f"field 'covectors[1][1]': '{value}' is not finite",
+            )
+            for value in ("nan", "inf", "-inf")
+        ),
     ],
 )
 def test_parse_diagnostics(text, fragment):

@@ -270,3 +270,20 @@ def test_cached_analysis_holds_no_tolerance():
     assert _chain(config, 1.01 * smallest) == ["DegeneratePlane"] * 5
     assert "DegeneratePlane" not in _chain(config, 0.99 * smallest)
     assert _chain(config) == _chain(configs()[0])
+
+
+def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
+    from veesys import verify
+
+    seen = []
+
+    def recording(*points, rtol=None):
+        seen.append(rtol)
+        return real(*points, rtol=rtol)
+
+    real = verify.cross_ratio
+    monkeypatch.setattr(verify, "cross_ratio", recording)
+    config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
+    records = check_harmonic(config, rtol=1e-7)
+    assert records and all(r.verdict for r in records)
+    assert set(seen) == {1e-7}
