@@ -7,6 +7,8 @@ configurations projectively from scripts, and ships a verified catalogue
 of three-dimensional systems with their extension/degeneration relations.
 """
 
+__version__ = "0.1.0"
+
 from .core import (
     CanonicalForm,
     CovectorConfiguration,

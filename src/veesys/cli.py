@@ -15,23 +15,15 @@ import hashlib
 import math
 import sys
 import time
-from importlib import metadata
 
 import click
 
-from . import catalogue, deform, io, matroid, verify
+from . import __version__, catalogue, deform, io, matroid, verify
 from .errors import VeesysError
 from .projective import load_script, run_reconstruction, to_projective
 from .tolerances import resolve
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-def _version():
-    try:
-        return metadata.version("veesys")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 class Report:
@@ -40,7 +32,7 @@ class Report:
     def __init__(self, command, digest):
         rtol = resolve(click.get_current_context().obj)
         self.lines = [
-            f"tool: veesys {_version()}",
+            f"tool: veesys {__version__}",
             f"command: {command}",
             f"input: {digest}",
             f"rtol: {rtol:.3e}",
@@ -72,9 +64,12 @@ def _parse_params(text):
         if not sep or not key.strip():
             raise click.UsageError(f"--params entry {item!r} is not k=v")
         try:
-            params[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise click.UsageError(f"--params value {value!r} is not a number")
+        if not math.isfinite(number):
+            raise click.UsageError(f"--params value {value!r} is not finite")
+        params[key.strip()] = number
     return params
 
 
@@ -126,7 +121,7 @@ class CommandGroup(click.Group):
 
 @click.group(cls=CommandGroup)
 @click.option("--rtol", type=float, default=None, help="relative tolerance")
-@click.version_option(_version())
+@click.version_option(__version__)
 @click.pass_context
 def main(ctx, rtol):
     """Verification and deformation analysis of covector configurations."""

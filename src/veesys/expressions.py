@@ -9,6 +9,7 @@ named values are allowed; nothing else parses.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 
@@ -85,12 +86,19 @@ def _eval(node, names):
     raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(text):
+    """The syntax tree of an expression string, parsed once per distinct
+    string (the catalogue's strings are a finite set).  ``_eval`` checks the
+    tree on every evaluation; a string that fails to parse is not cached."""
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse '{text}': {exc}") from exc
+
+
 def evaluate(expression, names=None):
     """Evaluate an arithmetic/boolean expression string with given names."""
     if isinstance(expression, (int, float)):
         return float(expression)
-    try:
-        tree = ast.parse(str(expression), mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse '{expression}': {exc}") from exc
-    return _eval(tree, dict(names or {}))
+    return _eval(_parse(str(expression)), dict(names or {}))

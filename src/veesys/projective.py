@@ -96,26 +96,58 @@ def meet(p1, p2, q1, q2, rtol=None):
     return ProjectivePoint(point)
 
 
-def _line_coordinates(points, rtol):
-    """2-d homogeneous coordinates of collinear points in a basis of two of
-    them; raises NotCollinear / DuplicatePoints as appropriate."""
-    tol = max(resolve(rtol), 1e-12)
-    for a, b in ((0, 1), (0, 2), (0, 3), (1, 2)):
-        if points[a].angular_error(points[b]) > 1e-8:
-            basis = np.column_stack(
-                [points[a].coordinates, points[b].coordinates]
-            )
-            break
-    else:
-        raise DuplicatePoints("all points coincide")
-    coords = []
-    for p in points:
-        c, res, *_ = np.linalg.lstsq(basis, p.coordinates, rcond=None)
-        err = np.linalg.norm(basis @ c - p.coordinates)
-        if err > max(tol * 1000, 1e-8):
-            raise NotCollinear(f"point off the common line by {err:.2e}")
-        coords.append(c)
-    return coords
+# The six point pairs of a quad, in itertools.combinations order; the first
+# four are the candidate bases of the common line, in order of preference.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Pair indices of (p1, p3), (p2, p4), (p1, p4), (p2, p3).
+_RATIO_PAIRS = [1, 4, 2, 3]
+
+
+def cross_ratios(quads, rtol=None):
+    """Cross-ratios (p1, p2; p3, p4) of a stack of collinear quads.
+
+    ``quads`` has shape (R, 4, 3): R quads of nonzero 3-vectors, of any
+    scale and sign.  Returns R values, as ``cross_ratio`` defines them.  On
+    the common line, spanned by the unit points a, b of the first of the
+    pairs (1,2), (1,3), (1,4), (2,3) at angular error above 1e-8, the 2-d
+    determinant of two points p, q is (p x q).(a x b) / |a x b|^2.  The
+    first failing quad raises: DuplicatePoints when two of its points have
+    angular error below 1e-12 or no basis pair exists, NotCollinear when a
+    unit point lies off the plane of a and b by more than
+    max(max(rtol, 1e-12) * 1000, 1e-8).
+    """
+    quads = np.asarray(quads, dtype=float)
+    norms = np.linalg.norm(quads, axis=2, keepdims=True)
+    if not norms.all():
+        raise ValueError("projective point needs a nonzero vector")
+    units = quads / norms
+    first, second = zip(*_PAIRS)
+    crosses = np.cross(units[:, first], units[:, second])
+    sines = np.linalg.norm(crosses, axis=2)
+    duplicate = sines < 1e-12
+    spans = sines[:, :4] > 1e-8
+    rows = np.arange(len(units))
+    basis = spans.argmax(axis=1)
+    normal, area = crosses[rows, basis], sines[rows, basis] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # quads without a basis fail
+        off = np.abs(np.einsum("rpi,ri->rp", units, normal)) / np.sqrt(area)[:, None]
+    off_line = off > max(max(resolve(rtol), 1e-12) * 1000, 1e-8)
+    failed = duplicate.any(axis=1) | ~spans.any(axis=1) | off_line.any(axis=1)
+    if failed.any():
+        r = int(failed.argmax())
+        if duplicate[r].any():
+            a, b = _PAIRS[int(duplicate[r].argmax())]
+            raise DuplicatePoints(f"points {a + 1} and {b + 1} coincide")
+        if not spans[r].any():
+            raise DuplicatePoints("all points coincide")
+        err = off[r, off_line[r].argmax()]
+        raise NotCollinear(f"point off the common line by {err:.2e}")
+    d13, d24, d14, d23 = np.einsum("rpi,ri->pr", crosses[:, _RATIO_PAIRS], normal) / area
+    num, den = d13 * d24, d14 * d23
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = num / den
+    return np.where(np.abs(den) < 1e-14 * np.maximum(1.0, np.abs(num)),
+                    math.inf, values)
 
 
 def cross_ratio(p1, p2, p3, p4, rtol=None):
@@ -126,17 +158,8 @@ def cross_ratio(p1, p2, p3, p4, rtol=None):
     homogeneous coordinates so points at infinity need no special casing.
     The result itself may be infinite (encoded as math.inf).
     """
-    points = [p1, p2, p3, p4]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if points[a].angular_error(points[b]) < 1e-12:
-                raise DuplicatePoints(f"points {a + 1} and {b + 1} coincide")
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = _line_coordinates(points, rtol)
-    num = (x1 * y3 - x3 * y1) * (x2 * y4 - x4 * y2)
-    den = (x1 * y4 - x4 * y1) * (x2 * y3 - x3 * y2)
-    if abs(den) < 1e-14 * max(1.0, abs(num)):
-        return math.inf
-    return float(num / den)
+    quad = [p.coordinates for p in (p1, p2, p3, p4)]
+    return float(cross_ratios([quad], rtol)[0])
 
 
 @dataclass(frozen=True)

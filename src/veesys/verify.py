@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadEmbedding, DegeneratePlane, NotMultiFlat
-from .projective import ProjectivePoint, cross_ratio
+from .projective import cross_ratios
 from .tolerances import resolve
 
 
@@ -151,6 +151,14 @@ def solve_weights(config, rtol=None):
     return WeightSolution(status, weights, float(x @ analysis.nus[multi]), residual)
 
 
+# The six member pairs of a 4-flat in itertools.combinations order, and per
+# pair the quad order (the other two members, then the pair).
+_QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
+_QUAD_FIRST, _QUAD_SECOND = (list(side) for side in zip(*_QUAD_PAIRS))
+_QUAD_ORDERS = np.array([[m for m in range(4) if m not in pair] + list(pair)
+                         for pair in _QUAD_PAIRS])
+
+
 def check_harmonic(config, rtol=None):
     """Cross-ratio check on every 4-member flat.
 
@@ -165,30 +173,32 @@ def check_harmonic(config, rtol=None):
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     P = analysis.pairings
+    quads = [f for f in analysis.decomposition.flats if f.size == 4]
+    members = np.array([f.members for f in quads], dtype=int).reshape(-1, 4)
+    I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
+    orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < max(tol, 1e-9) * 10
+    flat_of, pair_of = np.nonzero(orthogonal)
+    points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
+    values = iter(cross_ratios(points, rtol=tol).tolist())
     records = []
-    for f in analysis.decomposition.flats:
-        if f.size != 4:
-            continue
+    for f, pairs in zip(quads, orthogonal):
         labels = config.sublabels(f.members)
-        pairs = [(i, j) for i, j in itertools.combinations(f.members, 2)
-                 if abs(P[i, j]) / np.sqrt(P[i, i] * P[j, j]) < max(tol, 1e-9) * 10]
-        if not pairs:
+        count = int(pairs.sum())
+        if not count:
             records.append(
                 HarmonicRecord(labels, None, None, False, "NoOrthogonalPair")
             )
             continue
-        for i, j in pairs:
-            rest = [m for m in f.members if m not in (i, j)]
-            pts = [ProjectivePoint(config.covector(m)) for m in rest + [i, j]]
-            value = cross_ratio(*pts, rtol=tol)
-            ok = abs(value + 1.0) < max(tol, 1e-8) * 10
-            note = "" if len(pairs) == 1 else f"{len(pairs)}OrthogonalPairs"
+        note = "" if count == 1 else f"{count}OrthogonalPairs"
+        for k in np.flatnonzero(pairs):
+            a, b = _QUAD_PAIRS[k]
+            value = next(values)
             records.append(
                 HarmonicRecord(
                     labels,
-                    float(value),
-                    (config.labels[i], config.labels[j]),
-                    bool(ok),
+                    value,
+                    (config.labels[f.members[a]], config.labels[f.members[b]]),
+                    abs(value + 1.0) < max(tol, 1e-8) * 10,
                     note,
                 )
             )

@@ -189,6 +189,17 @@ class TestExpressions:
         with pytest.raises(ExpressionError, match="unknown name"):
             evaluate("t + u", {"t": 1})
 
+    def test_parsed_strings_are_checked_on_every_call(self):
+        # a parsed tree is reused, but its syntax is still checked each time
+        for bad in ("__import__('os')", "1 +", "t + u"):
+            for _ in range(2):
+                with pytest.raises(ExpressionError):
+                    evaluate(bad, {"t": 1})
+
+    def test_parsed_strings_read_each_calls_names(self):
+        assert evaluate("t * (t + 1)", {"t": 2}) == pytest.approx(6.0)
+        assert evaluate("t * (t + 1)", {"t": 3}) == pytest.approx(12.0)
+
 
 def test_script_references_complete():
     for name in ("a3", "b3", "h3", "h4a1"):

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import veesys
 from veesys import catalogue, io
 from veesys.cli import main
 from veesys.core import CovectorConfiguration
@@ -247,3 +252,26 @@ def test_non_finite_document_is_usage_error(runner, tmp_path, capfd, value):
     assert result.exit_code == 2, result.output
     assert f"error: field 'covectors[3][0]': '{value}' is not finite" in result.output
     assert capfd.readouterr().err == ""  # nothing written by LAPACK
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_params_are_usage_errors(runner, value):
+    result = runner.invoke(main, ["verify", "--catalogue", "F3", "--params", f"t={value}"])
+    assert result.exit_code == 2, result.output
+    assert "Usage" in result.output and "Error" in result.output
+    assert f"--params value '{value}' is not finite" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_cli_start_up_reads_no_package_metadata():
+    source = pathlib.Path(veesys.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(source), os.environ.get("PYTHONPATH"))))}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veesys.cli; print('importlib.metadata' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
+    version = subprocess.run([sys.executable, "-m", "veesys.cli", "--version"],
+                             env=env, capture_output=True, text=True, check=True)
+    assert version.stdout.split()[-1] == "0.1.0" == veesys.__version__

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from veesys import (
     to_projective,
 )
 from veesys import CovectorConfiguration, matroid
+from veesys.projective import cross_ratios
+from veesys.tolerances import resolve
 from veesys.errors import (
     BranchRequired,
     CoincidentLines,
@@ -53,6 +56,152 @@ def test_cross_ratio_rejects_bad_input():
         cross_ratio(
             _affine(0), _affine(1), _affine(2), ProjectivePoint([0, 0, 1])
         )
+
+
+def _reference_cross_ratio(points, rtol=None):
+    """Per-quad reference: pairwise duplicate checks, a basis of two of the
+    points, and least-squares line coordinates of each point."""
+    tol = max(resolve(rtol), 1e-12)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            if points[a].angular_error(points[b]) < 1e-12:
+                raise DuplicatePoints(f"points {a + 1} and {b + 1} coincide")
+    for a, b in ((0, 1), (0, 2), (0, 3), (1, 2)):
+        if points[a].angular_error(points[b]) > 1e-8:
+            basis = np.column_stack([points[a].coordinates, points[b].coordinates])
+            break
+    else:
+        raise DuplicatePoints("all points coincide")
+    coords = []
+    for p in points:
+        c, *_ = np.linalg.lstsq(basis, p.coordinates, rcond=None)
+        err = np.linalg.norm(basis @ c - p.coordinates)
+        if err > max(tol * 1000, 1e-8):
+            raise NotCollinear(f"point off the common line by {err:.2e}")
+        coords.append(c)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = coords
+    num = (x1 * y3 - x3 * y1) * (x2 * y4 - x4 * y2)
+    den = (x1 * y4 - x4 * y1) * (x2 * y3 - x3 * y2)
+    if abs(den) < 1e-14 * max(1.0, abs(num)):
+        return math.inf
+    return float(num / den)
+
+
+def _quad_configurations():
+    """The catalogue grid points, B3-roots, and three images of every
+    family's first grid point under GL(3) maps with condition number < 100."""
+    for ident in catalogue.ids():
+        for params in catalogue.entry(ident).default_grid:
+            yield f"{ident}{params}", catalogue.construct(ident, params)
+    yield "B3-roots", catalogue.auxiliary_configuration("B3-roots")
+    rng = np.random.default_rng(17)
+    for ident in catalogue.ids():
+        base = catalogue.construct(ident, catalogue.entry(ident).default_grid[0])
+        for k in range(3):
+            while True:
+                C = rng.standard_normal((3, 3))
+                if np.linalg.cond(C) < 100:
+                    break
+            yield f"{ident} image {k}", base.transformed(C)
+
+
+def test_cross_ratios_match_reference_on_every_four_flat_quad():
+    checked = 0
+    for name, config in _quad_configurations():
+        quads = [
+            [f.members[m] for m in rest + list(pair)]
+            for f in decompose(config).flats if f.size == 4
+            for pair in itertools.combinations(range(4), 2)
+            for rest in [[m for m in range(4) if m not in pair]]
+        ]
+        values = cross_ratios(config.matrix.T[np.array(quads, dtype=int).reshape(-1, 4)])
+        expected = [
+            _reference_cross_ratio([ProjectivePoint(config.covector(m)) for m in quad])
+            for quad in quads
+        ]
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12, err_msg=name)
+        checked += len(quads)
+    assert checked > 1000
+
+
+def _line_quad(height=0.0, angle=math.pi / 4):
+    """Three points on the plane z = 0 and a unit fourth point at distance
+    ``height`` from it; the first two points are ``angle`` apart."""
+    return [
+        [1.0, 0.0, 0.0],
+        [math.cos(angle), math.sin(angle), 0.0],
+        [0.0, 1.0, 0.0],
+        [0.6 * math.sqrt(1 - height**2), 0.8 * math.sqrt(1 - height**2), height],
+    ]
+
+
+def _both(quad, rtol=None):
+    """cross_ratios and the reference on one quad."""
+    return (
+        float(cross_ratios([quad], rtol)[0]),
+        _reference_cross_ratio([ProjectivePoint(p) for p in quad], rtol),
+    )
+
+
+@pytest.mark.parametrize("angle, coincide", [(0.5e-12, True), (2e-12, False)])
+def test_cross_ratios_duplicate_threshold(angle, coincide):
+    quad = _line_quad(angle=angle)
+    if coincide:
+        with pytest.raises(DuplicatePoints, match="points 1 and 2"):
+            cross_ratios([quad])
+        with pytest.raises(DuplicatePoints):
+            _reference_cross_ratio([ProjectivePoint(p) for p in quad])
+    else:
+        value, expected = _both(quad)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("spread, spans", [(0.8e-8, False), (1.2e-8, True)])
+def test_cross_ratios_basis_threshold(spread, spans):
+    # affine points z = 0, 1, 2, 3 squeezed to within angle ``spread``: a
+    # basis needs one of the pairs (1,2), (1,3), (1,4), (2,3) above 1e-8
+    quad = [[1.0, z * spread / 3, 0.0] for z in range(4)]
+    if spans:
+        value, expected = _both(quad)
+        assert value == pytest.approx(4 / 3, rel=1e-6)
+        assert expected == pytest.approx(4 / 3, rel=1e-6)
+    else:
+        with pytest.raises(DuplicatePoints, match="all points coincide"):
+            cross_ratios([quad])
+        with pytest.raises(DuplicatePoints, match="all points coincide"):
+            _reference_cross_ratio([ProjectivePoint(p) for p in quad])
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+@pytest.mark.parametrize("factor, collinear", [(1.1, False), (0.9, True)])
+def test_cross_ratios_collinearity_threshold_follows_rtol(rtol, factor, collinear):
+    bound = max(rtol * 1000, 1e-8)
+    quad = _line_quad(height=factor * bound)
+    if collinear:
+        value, expected = _both(quad, rtol)
+        assert value == pytest.approx(expected, rel=1e-12)
+    else:
+        with pytest.raises(NotCollinear, match="off the common line"):
+            cross_ratios([_line_quad(), quad], rtol)
+        with pytest.raises(NotCollinear):
+            _reference_cross_ratio([ProjectivePoint(p) for p in quad], rtol)
+
+
+@pytest.mark.parametrize("gap, infinite", [(0.8e-7, True), (1.2e-7, False)])
+def test_cross_ratios_infinite_branch(gap, infinite):
+    # p1 ~ p4 and p2 ~ p3 at angle ``gap``: den = -gap^2 against num = -1
+    quad = [[1, 0, 0], [0, 1, 0], [gap, 1, 0], [1, gap, 0]]
+    value, expected = _both(quad)
+    assert math.isinf(value) == math.isinf(expected) == infinite
+    if not infinite:
+        assert value == pytest.approx(expected, rel=1e-6)
+    points = [ProjectivePoint(p) for p in quad]
+    assert (cross_ratio(*points) == math.inf) == infinite
+
+
+def test_cross_ratios_rejects_zero_vector():
+    with pytest.raises(ValueError, match="nonzero"):
+        cross_ratios([[[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]]])
 
 
 def test_meet_basic():

@@ -92,6 +92,20 @@ def test_harmonic_all_f3_quads():
     assert all(r.verdict for r in records)
 
 
+def test_harmonic_f3_records_in_flat_order_with_pair_counts():
+    records = check_harmonic(catalogue.construct("F3", {"t": 1}))
+    two = "2OrthogonalPairs"
+    assert [(" ".join(r.flat), " ".join(r.orthogonal_pair), r.note) for r in records] == [
+        ("1 2 4 5", "1 2", two), ("1 2 4 5", "4 5", two),
+        ("1 3 6 7", "1 3", two), ("1 3 6 7", "6 7", two),
+        ("1 8 10 13", "1 8", ""), ("1 9 11 12", "1 9", ""),
+        ("2 3 8 9", "2 3", two), ("2 3 8 9", "8 9", two),
+        ("2 6 10 11", "2 6", ""), ("2 7 12 13", "2 7", ""),
+        ("3 4 10 12", "3 4", ""), ("3 5 11 13", "3 5", ""),
+    ]
+    assert all(r.cross_ratio == pytest.approx(-1.0, abs=1e-12) for r in records)
+
+
 def test_extension_h3_in_h4a1():
     outer = catalogue.construct("H4A1", {})
     added = {"4", "5", "6", "7"} | {str(i) for i in range(20, 32)}
@@ -277,12 +291,12 @@ def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
 
     seen = []
 
-    def recording(*points, rtol=None):
+    def recording(quads, rtol=None):
         seen.append(rtol)
-        return real(*points, rtol=rtol)
+        return real(quads, rtol=rtol)
 
-    real = verify.cross_ratio
-    monkeypatch.setattr(verify, "cross_ratio", recording)
+    real = verify.cross_ratios
+    monkeypatch.setattr(verify, "cross_ratios", recording)
     config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
     records = check_harmonic(config, rtol=1e-7)
     assert records and all(r.verdict for r in records)
