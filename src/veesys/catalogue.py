@@ -1,22 +1,32 @@
 """Catalogue of the 17 known rank-3 systems with oracle data and relations.
 
-All data (matrices as expression strings, expected Gram matrices, flat
-lists, nu-values, extension/degeneration relations) lives in the shipped
-``data/catalogue.yaml`` file; this module loads it, constructs
-configurations at given parameters, and verifies entries and relations
-against the stored oracles.
+All data lives in the shipped ``data/catalogue.json`` file; this module
+loads it, constructs configurations at given parameters, and verifies
+entries and relations against the stored oracles.
+
+Matrices are stored row-wise as arithmetic expressions in the entry's
+parameters and constants (evaluated by ``veesys.expressions``).  Each entry
+also records its expected Gram matrix, the rank-2 flats and the nu-values
+as independent oracles.  Known misprints in the published source tables are
+corrected in the data; every correction carries a note.  Auxiliary
+configurations may carry a ``note``, which the loader ignores.
+
+The file keeps one matrix row, Gram row, flat record, grid point or
+relation path per line, so that a change reads line by line.  Its
+``"checksum"`` line holds the SHA-256 of the file with that line left out.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from . import matroid
 from .core import CovectorConfiguration
@@ -26,8 +36,8 @@ from .tolerances import resolve
 from .verify import check_extension, check_vee
 
 ORACLE_RTOL = 1e-8  # relative tolerance for gram/nu comparisons against oracles
-# libyaml's parser, about eight times faster, when PyYAML was built with it
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the one line the checksum leaves out; it must hold nothing but the checksum
+CHECKSUM_LINE = re.compile(r'"checksum": "[^"]*",?')
 
 
 class CatalogueDataError(VeesysError):
@@ -117,15 +127,16 @@ class CheckReport:
 
 def _data_text():
     return (
-        resources.files("veesys").joinpath("data/catalogue.yaml").read_text("utf-8")
+        resources.files("veesys").joinpath("data/catalogue.json").read_text("utf-8")
     )
 
 
 def data_checksum(text=None):
-    """Checksum of the catalogue data with its own checksum line blanked."""
+    """SHA-256 of the catalogue data with its own checksum line left out."""
     text = text if text is not None else _data_text()
     body = "\n".join(
-        line for line in text.splitlines() if not line.startswith("checksum:")
+        line for line in text.splitlines()
+        if not CHECKSUM_LINE.fullmatch(line.strip())
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
@@ -133,9 +144,16 @@ def data_checksum(text=None):
 @lru_cache(maxsize=1)
 def _load():
     text = _data_text()
-    data = yaml.load(text, Loader=YAML_LOADER)
-    if data.get("format") != "veesys-catalogue/1":
-        raise CatalogueDataError(f"unsupported data format {data.get('format')!r}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CatalogueDataError(
+            f"catalogue data is not valid JSON (line {exc.lineno}, "
+            f"column {exc.colno}): {exc.msg}"
+        ) from None
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != "veesys-catalogue/1":
+        raise CatalogueDataError(f"unsupported data format {fmt!r}")
     recorded = data.get("checksum")
     actual = data_checksum(text)
     if recorded != actual:

@@ -82,9 +82,9 @@ def _open(command, path, catalogue_id, params_text):
     if (path is None) == (catalogue_id is None):
         raise click.UsageError("give exactly one of INPUT or --catalogue")
     if path is not None:
-        config = io.load_document(path)
-        with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+        data = io.read_document(path)
+        config = io.parse_document(data)
+        digest = hashlib.sha256(data).hexdigest()[:16]
         return config, Report(command, f"{path} sha256:{digest}")
     params = _parse_params(params_text)
     config = catalogue.construct(catalogue_id, params)

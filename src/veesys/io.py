@@ -32,7 +32,12 @@ def _fail(message):
 
 
 def parse_document(text):
-    """Parse a JSON configuration document into a CovectorConfiguration."""
+    """Parse a JSON configuration document (text or UTF-8 bytes)."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            _fail(f"not UTF-8 (byte {exc.start}): {exc.reason}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -80,14 +85,18 @@ def parse_document(text):
         _fail(f"invalid configuration: {exc}")
 
 
-def load_document(path):
-    """Load a configuration document from a file path."""
+def read_document(path):
+    """The bytes of a document file; an unreadable path is a format error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror or exc}")
-    return parse_document(text)
+
+
+def load_document(path):
+    """Load a configuration document from a file path."""
+    return parse_document(read_document(path))
 
 
 def format_document(config, parameters=None):

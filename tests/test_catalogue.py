@@ -27,31 +27,6 @@ def test_checksum_is_stable():
     assert catalogue.entry("H3") is catalogue.entry("H3")
 
 
-def test_c_and_pure_yaml_loaders_agree(monkeypatch):
-    import yaml
-
-    import veesys.catalogue as cat
-
-    if not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML built without libyaml")
-    loaded = {}
-    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        monkeypatch.setattr(cat, "YAML_LOADER", loader)
-        cat._load.cache_clear()
-        try:
-            loaded[loader] = cat._load()
-        finally:
-            cat._load.cache_clear()
-    (c_entries, c_aux, c_rel), (entries, aux, rel) = loaded.values()
-    assert c_entries == entries
-    assert [e.default_grid for e in c_entries.values()] == [
-        e.default_grid for e in entries.values()]
-    assert [e.flats for e in c_entries.values()] == [e.flats for e in entries.values()]
-    assert c_rel == rel
-    assert c_aux.keys() == aux.keys()
-    assert all(np.array_equal(c_aux[k], aux[k]) for k in aux)
-
-
 def test_entry_verification_spot_checks():
     for ident, params in [
         ("A3", {"c1": 2, "c2": 1, "c3": 0.5}),
@@ -142,19 +117,74 @@ def test_gram_at_matches_matrix():
         assert np.allclose(A @ A.T, G, rtol=1e-12, atol=1e-10), ident
 
 
-def test_tampered_data_detected(monkeypatch):
-    import veesys.catalogue as cat
+@pytest.fixture
+def load_text(monkeypatch):
+    """Loads the catalogue from the given text in place of the shipped file."""
+    def load(text):
+        monkeypatch.setattr(catalogue, "_data_text", lambda: text)
+        catalogue._load.cache_clear()
+        return catalogue._load()
 
-    text = cat._data_text()
-    tampered = text.replace("name:", "name :", 1)
+    yield load
+    catalogue._load.cache_clear()
+
+
+def test_tampered_data_detected(load_text):
+    text = catalogue._data_text()
+    tampered = text.replace('"name":', '"name" :', 1)
     assert tampered != text
-    monkeypatch.setattr(cat, "_data_text", lambda: tampered)
-    cat._load.cache_clear()
-    try:
+    with pytest.raises(CatalogueDataError, match="checksum"):
+        load_text(tampered)
+
+
+def test_checksum_covers_every_other_line(load_text):
+    text = catalogue._data_text()
+    lines = text.splitlines()
+    exempt = [i for i, line in enumerate(lines)
+              if catalogue.CHECKSUM_LINE.fullmatch(line.strip())]
+    assert len(exempt) == 1
+    recorded = catalogue.data_checksum(text)
+    for i in range(len(lines)):
+        edited = "\n".join(lines[:i] + [lines[i] + " "] + lines[i + 1:])
+        assert (catalogue.data_checksum(edited) == recorded) == (i in exempt), i
+    for i in (0, exempt[0] + 1, len(lines) // 2, len(lines) - 1):
+        edited = "\n".join(lines[:i] + [lines[i] + " "] + lines[i + 1:])
         with pytest.raises(CatalogueDataError, match="checksum"):
-            cat._load()
-    finally:
-        cat._load.cache_clear()
+            load_text(edited)
+    # data sharing the checksum line is covered too
+    line = lines[exempt[0]]
+    edited = text.replace(line, line + ' "extra": 1,', 1)
+    with pytest.raises(CatalogueDataError, match="checksum"):
+        load_text(edited)
+
+
+def test_checksum_value_change_reports_both_digests(load_text):
+    text = catalogue._data_text()
+    actual = catalogue.data_checksum(text)
+    forged = "0" * 64
+    edited = text.replace(actual, forged, 1)
+    assert catalogue.data_checksum(edited) == actual
+    with pytest.raises(CatalogueDataError) as info:
+        load_text(edited)
+    assert f"recorded {forged}, actual {actual}" in str(info.value)
+
+
+def test_malformed_catalogue_json_is_named_error(load_text):
+    text = catalogue._data_text()
+    lines = text.splitlines()
+    after_a3 = lines.index('      "id": "A3",') + 2  # 1-based line after it
+    for broken, where in (
+        (text.replace('"id": "A3",', '"id": "A3"', 1), f"line {after_a3}, column 7"),
+        (text.rstrip().rstrip("}"), f"line {len(lines)}, column 1"),
+        ("", "line 1, column 1"),
+    ):
+        with pytest.raises(CatalogueDataError, match=rf"not valid JSON \({where}\)"):
+            load_text(broken)
+
+
+def test_catalogue_of_wrong_shape_is_named_error(load_text):
+    with pytest.raises(CatalogueDataError, match="unsupported data format None"):
+        load_text("[]")
 
 
 class TestExpressions:

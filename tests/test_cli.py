@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -263,10 +264,15 @@ def test_non_finite_params_are_usage_errors(runner, value):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def test_cli_start_up_reads_no_package_metadata():
+def _source_env():
+    """The environment of a subprocess that imports this veesys checkout."""
     source = pathlib.Path(veesys.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(source), os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_start_up_reads_no_package_metadata():
+    env = _source_env()
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, veesys.cli; print('importlib.metadata' in sys.modules)"],
@@ -275,3 +281,29 @@ def test_cli_start_up_reads_no_package_metadata():
     version = subprocess.run([sys.executable, "-m", "veesys.cli", "--version"],
                              env=env, capture_output=True, text=True, check=True)
     assert version.stdout.split()[-1] == "0.1.0" == veesys.__version__
+
+
+def test_cli_start_up_imports_no_yaml():
+    env = _source_env()
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veesys.cli; from veesys import catalogue; "
+         "print(len(catalogue.ids()), 'yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.split() == ["17", "False"]
+
+
+def test_non_utf8_document_is_usage_error(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error: not UTF-8 (byte 0)" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_document_digest_is_of_the_bytes_parsed(runner, h3_file):
+    digest = hashlib.sha256(pathlib.Path(h3_file).read_bytes()).hexdigest()[:16]
+    result = runner.invoke(main, ["verify", h3_file])
+    assert result.exit_code == 0, result.output
+    assert f"input: {h3_file} sha256:{digest}" in result.output

@@ -74,3 +74,24 @@ def test_parse_diagnostics(text, fragment):
 def test_load_missing_file():
     with pytest.raises(DocumentFormatError, match="cannot read"):
         io.load_document("/nonexistent/nowhere.json")
+
+
+def test_non_utf8_document_is_format_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(DocumentFormatError, match=r"not UTF-8 \(byte 0\)"):
+        io.load_document(path)
+    with pytest.raises(DocumentFormatError, match="not UTF-8"):
+        parse_document(b'{"dimension": 1, "covectors": [["\xe9"]]}')
+
+
+def test_bytes_and_text_documents_parse_alike(tmp_path):
+    config = catalogue.construct("H3", {})
+    path = tmp_path / "h3.json"
+    io.save_document(config, path)
+    data = io.read_document(path)
+    assert data == path.read_bytes()
+    from_bytes, from_text = parse_document(data), parse_document(data.decode())
+    assert (from_bytes.matrix == config.matrix).all()
+    assert (from_text.matrix == config.matrix).all()
+    assert from_bytes.labels == from_text.labels == config.labels
