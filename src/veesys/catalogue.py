@@ -203,7 +203,12 @@ def _load():
                 nu_ratio=raw.get("nu_ratio"),
             )
         )
-    return entries, auxiliary, relations
+    return entries, auxiliary, relations, actual
+
+
+def checksum():
+    """SHA-256 of the catalogue data, the digest verified when it was loaded."""
+    return _load()[3]
 
 
 def ids():

@@ -306,7 +306,7 @@ def cmd_catalogue():
 @out_option
 def catalogue_list(out):
     """List the catalogue families and their parameter specs."""
-    report = Report("catalogue list", f"data sha256:{catalogue.data_checksum()[:16]}")
+    report = Report("catalogue list", f"data sha256:{catalogue.checksum()[:16]}")
     report.section("entries")
     for ident in catalogue.ids():
         ent = catalogue.entry(ident)
@@ -324,7 +324,7 @@ def catalogue_list(out):
 @out_option
 def catalogue_relations(out):
     """List the shipped extension and degeneration records."""
-    report = Report("catalogue relations", f"data sha256:{catalogue.data_checksum()[:16]}")
+    report = Report("catalogue relations", f"data sha256:{catalogue.checksum()[:16]}")
     for kind in ("extension", "degeneration"):
         rows = catalogue.relations(kind)
         report.add(f"{kind}s", len(rows))
@@ -345,7 +345,7 @@ def catalogue_relations(out):
 def catalogue_verify_all(rtol, strict, out):
     """Verify every entry on its default grid and every relation row."""
     report = Report("catalogue verify-all",
-                    f"data sha256:{catalogue.data_checksum()[:16]}")
+                    f"data sha256:{catalogue.checksum()[:16]}")
     failures = 0
     report.section("entries")
     for ident in catalogue.ids():

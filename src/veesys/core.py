@@ -159,8 +159,9 @@ class PlaneForm:
 @dataclass(frozen=True)
 class PlaneAnalysis:
     """The tolerance-free plane data every check reads, one entry per flat
-    of ``decomposition`` (in its order).  Thresholds are applied by the
-    callers, so one analysis serves every tolerance."""
+    of ``decomposition`` (in its order: pair flats, then multi flats).
+    Thresholds are applied by the callers, so one analysis serves every
+    tolerance.  Only the multi flats go through Python loops."""
 
     form: CanonicalForm
     pairings: np.ndarray  # P = A^T G^{-1} A
@@ -253,34 +254,42 @@ def analyse(config):
     G to the dual plane is (P_ii, P_ij, P_jj) and that of the plane form is
     the sum over members k of (P_ki P_ki, P_ki P_kj, P_kj P_kj).  A multi
     flat's residual is the relative deviation of the plane form from nu * G
-    restricted, with nu the least-squares factor.
+    restricted, with nu the least-squares factor.  Pair flats are read from P
+    as arrays; only the m multi flats are looped over and pay n x m work.
     """
     form = canonical_form(config)
     P = pairing_matrix(config, form)
     decomp = matroid.decompose(config)
-    first, second = np.array([f.members[:2] for f in decomp.flats], dtype=int).T
-    member = np.zeros((config.n, len(decomp.flats)), dtype=bool)
-    for col, f in enumerate(decomp.flats):
-        member[list(f.members), col] = True
+    p = len(decomp.pair_flats)
+    multi = [decomp.flats[k].members for k in decomp.multi_flats]
+    ends = np.concatenate([decomp.pair_members,
+                           np.array([m[:2] for m in multi], dtype=int).reshape(-1, 2)])
+    first, second = ends.T
+    member = np.zeros((config.n, len(ends)), dtype=bool)
+    member[decomp.pair_members, np.arange(p)[:, None]] = True
+    for col, members in enumerate(multi, p):
+        member[list(members), col] = True
 
     # entries (11, 12, 22) of the symmetric 2x2 restrictions; the
     # off-diagonal entry counts twice in Frobenius products
-    entries = ((first, first), (first, second), (second, second))
+    g = np.stack([P[first, first], P[first, second], P[second, second]])
     weight = np.array([[1.0], [2.0], [1.0]])
-    g = np.stack([P[a, b] for a, b in entries])
-    gp = np.stack([(member * P[:, a] * P[:, b]).sum(0) for a, b in entries])
-    nu_lsq = (weight * gp * g).sum(0) / (weight * g * g).sum(0)
-    multi = np.sqrt((weight * (gp - nu_lsq * g) ** 2).sum(0)
-                    / (weight * gp * gp).sum(0))
-    pair = np.abs(g[1]) / np.sqrt(g[0] * g[2])
-    residuals = np.where(member.sum(0) == 2, pair, multi)
+    i, j, g_multi, in_multi = first[p:], second[p:], g[:, p:], member[:, p:]
+    gp = np.stack([(in_multi * P[:, a] * P[:, b]).sum(0)
+                   for a, b in ((i, i), (i, j), (j, j))])
+    nu_lsq = (weight * gp * g_multi).sum(0) / (weight * g_multi * g_multi).sum(0)
+    residuals = np.concatenate([
+        np.abs(g[1, :p]) / np.sqrt(g[0, :p] * g[2, :p]),
+        np.sqrt((weight * (gp - nu_lsq * g_multi) ** 2).sum(0)
+                / (weight * gp * gp).sum(0)),
+    ])
+    nus = 0.5 * np.concatenate([g[0, :p] + g[2, :p], np.diag(P) @ in_multi])
 
     duals = form.gram_inverse @ config.matrix
     u, v = duals[:, first], duals[:, second]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     ratios = (np.sqrt((wedge ** 2).sum((0, 1)))
               / (np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)))
-    nus = 0.5 * (member.T @ np.diag(P))
     for shared in (P, member, residuals, nus, ratios):
         shared.setflags(write=False)
     return PlaneAnalysis(form, P, decomp, member, residuals, nus, ratios,

@@ -37,7 +37,7 @@ class DeformationSystem:
     corank: int
     kernel_basis: np.ndarray  # corank x n, orthonormal rows
     singular_values: np.ndarray  # descending
-    spectral_gap: float  # smallest kept / largest dropped singular value
+    spectral_gap: float  # smallest kept singular value / the rank threshold
 
 
 def _assemble_rows(analysis, mode):
@@ -50,8 +50,7 @@ def _assemble_rows(analysis, mode):
     """
     decomp = analysis.decomposition
     P = analysis.pairings
-    pair_i, pair_j = np.array([decomp.flats[k].members for k in decomp.pair_flats],
-                              dtype=int).reshape(-1, 2).T
+    pair_i, pair_j = decomp.pair_members.T
     multi = list(decomp.multi_flats)
     i, j = np.array([decomp.flats[k].members[:2] for k in multi], dtype=int).reshape(-1, 2).T
     # coefficients of xi in X^Pi - nu X
@@ -92,10 +91,8 @@ def build_system(config, mode=FREE_NU, rtol=None):
     rank = int(np.sum(svals > threshold))
     corank = n - rank
     kernel = vt[rank:]
-    if 0 < rank < len(svals):
-        gap = float(svals[rank - 1] / svals[rank])
-    else:
-        gap = float("inf")
+    # the kept margin: how far the smallest kept value clears the threshold
+    gap = float(svals[rank - 1] / threshold) if rank else float("inf")
     return DeformationSystem(mode, matrix, rank, corank, kernel, svals, gap)
 
 

@@ -9,7 +9,7 @@ are called pair flats, the rest multi flats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,11 @@ class Flat:
 
 @dataclass(frozen=True)
 class FlatDecomposition:
-    flats: tuple  # all flats, sorted by (size, members)
-    pair_flats: tuple  # indices into flats
+    flats: tuple  # all flats, sorted by (size, members): pair flats first
+    pair_flats: tuple  # indices into flats, range(len(pair_members))
     multi_flats: tuple  # indices into flats
     n: int
+    pair_members: np.ndarray = field(compare=False, repr=False)  # read-only (p, 2)
     tiny_covectors: tuple = ()  # indices with norm < TINY_NORM (degeneracy flag)
 
 
@@ -82,7 +83,7 @@ class _UnionFind:
 
 
 def decompose(config):
-    """Enumerate the rank-2 flats of a rank-3 configuration.
+    """Enumerate the rank-2 flats of a configuration of rank at most 3.
 
     Covectors are normalized to unit length before the determinant test, so
     the decomposition is invariant under per-covector scaling.  Pairs (i,j),
@@ -91,8 +92,9 @@ def decompose(config):
     tolerance (``rtol``) used by the checks.
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
-    pairs i < j times the unit covectors, then a union over the coplanar
-    triples only.
+    pairs i < j times the unit covectors.  A pair in no coplanar triple is a
+    pair flat and stays a row of ``pair_members``; only the pairs of the
+    coplanar triples go through the union and the grouping in Python.
     """
     r, n = config.matrix.shape
     if r > 3:
@@ -101,46 +103,54 @@ def decompose(config):
     norms = np.linalg.norm(config.matrix, axis=0)
     tiny = tuple(int(i) for i in np.flatnonzero(norms < TINY_NORM))
     unit = config.matrix / norms
+    if r < 3:  # embedded in rank 3, where all its triples are coplanar
+        unit = np.vstack([unit, np.zeros((3 - r, n))])
 
-    if r == 2:
-        flats = (Flat(tuple(range(n))),)
-        return FlatDecomposition(flats, (), (0,), n, tiny)
+    # Row p of dets holds det(u_i, u_j, u_k) = (u_i x u_j) . u_k for the
+    # p-th pair i < j and every k; each coplanar triple is taken once, at
+    # its k > j entry.
+    ends = np.transpose(np.triu_indices(n, 1))
+    first, second = ends.T
+    x, y = unit.T[:, [1, 2, 0]], unit.T[:, [2, 0, 1]]  # rolled coordinates
+    dets = (x[first] * y[second] - y[first] * x[second]) @ unit
+    np.abs(dets, out=dets)  # in place: the largest array of the call
+    coplanar = (dets < COPLANAR_TOL) & (np.arange(n) > second[:, None])
+    rows, third = np.divmod(np.flatnonzero(coplanar), n)
+    i, j = first[rows], second[rows]
+    in_triple = np.zeros((n, n), dtype=bool)
+    in_triple[i, j] = in_triple[i, third] = in_triple[j, third] = True
+    pair_members = ends[~in_triple[first, second]]
+    pair_members.setflags(write=False)
 
-    # Row p of dets holds det(u_i, u_j, u_k) for the p-th pair i < j and
-    # every k; each coplanar triple is taken once, at its k > j entry.
-    first, second = np.triu_indices(n, 1)
-    dets = np.cross(unit[:, first].T, unit[:, second].T) @ unit
-    coplanar = (np.abs(dets) < COPLANAR_TOL) & (np.arange(n) > second[:, None])
-    rows, third = np.nonzero(coplanar)
-
-    # Union-find over unordered pairs; pair (i,j) has id i*n + j for i < j.
+    # Union-find over the pairs of coplanar triples; (i,j) has id i*n + j.
     uf = _UnionFind(n * n)
-    for i, j, k in zip(first[rows].tolist(), second[rows].tolist(), third.tolist()):
-        uf.union(i * n + j, i * n + k)
-        uf.union(i * n + j, j * n + k)
-
+    for a, b, c in zip(i.tolist(), j.tolist(), third.tolist()):
+        uf.union(a * n + b, a * n + c)
+        uf.union(a * n + b, b * n + c)
     groups = {}
-    for i, j in zip(first.tolist(), second.tolist()):
-        groups.setdefault(uf.find(i * n + j), set()).update((i, j))
-    return _decomposition(groups.values(), n, tiny)
+    for a, b in zip(*(side.tolist() for side in np.nonzero(in_triple))):
+        groups.setdefault(uf.find(a * n + b), set()).update((a, b))
+    multi = sorted((tuple(sorted(m)) for m in groups.values()),
+                   key=lambda m: (len(m), m))
 
-
-def _decomposition(member_sets, n, tiny=()):
-    flats = tuple(sorted((Flat(tuple(sorted(m))) for m in member_sets),
-                         key=lambda f: (f.size, f.members)))
-    pair = tuple(i for i, f in enumerate(flats) if f.is_pair)
-    multi = tuple(i for i, f in enumerate(flats) if not f.is_pair)
-    return FlatDecomposition(flats, pair, multi, n, tiny)
+    p = len(pair_members)
+    flats = tuple(map(Flat, map(tuple, pair_members.tolist()))) + tuple(map(Flat, multi))
+    return FlatDecomposition(flats, tuple(range(p)), tuple(range(p, len(flats))),
+                             n, pair_members, tiny)
 
 
 def fingerprint(decomposition):
-    """Relabelling-invariant summary of the flat structure."""
-    sizes = tuple(sorted(f.size for f in decomposition.flats))
-    through = [[] for _ in range(decomposition.n)]
-    for f in decomposition.flats:
+    """Relabelling-invariant summary of the flat structure.  Covector k lies
+    in n - 1 - sum(size - 1) pair flats, the sum over the multi flats through k."""
+    n = decomposition.n
+    multi = [decomposition.flats[k] for k in decomposition.multi_flats]
+    sizes = (2,) * len(decomposition.pair_flats) + tuple(sorted(f.size for f in multi))
+    through = [[] for _ in range(n)]
+    for f in multi:
         for i in f.members:
             through[i].append(f.size)
-    profile = tuple(tuple(sorted(t)) for t in through)
+    profile = tuple((2,) * (n - 1 - sum(t) + len(t)) + tuple(sorted(t))
+                    for t in through)
     return MatroidFingerprint(sizes, profile, tuple(sorted(profile)))
 
 
@@ -232,12 +242,3 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     except _BudgetExceeded:
         return UNKNOWN
     return YES if mapping is not None else NO
-
-
-def decomposition_from_flats(flat_member_sets, n):
-    """Build a FlatDecomposition from explicit member-index sets (no geometry).
-
-    Useful for comparing a computed decomposition against a published flat
-    list via same_matroid.
-    """
-    return _decomposition(flat_member_sets, n)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,21 @@ class FlatVerdict:
 @dataclass(frozen=True)
 class VeeReport:
     is_vee_system: bool
-    per_flat: tuple
     max_residual: float
     nu_function: dict  # member-label tuple -> nu (multi flats only)
     decomposition: object
     form: object
+    config: object = field(compare=False, repr=False)  # the configuration checked
+
+    @cached_property
+    def per_flat(self):
+        """One FlatVerdict per flat, in the order of ``decomposition``."""
+        config, analysis = self.config, self.config.analysis
+        return tuple(
+            FlatVerdict(config.sublabels(f.members), "pair" if f.is_pair else "multi",
+                        residual, None if f.is_pair else nu)
+            for f, residual, nu in zip(self.decomposition.flats,
+                                       analysis.residuals.tolist(), analysis.nus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,18 @@ def check_vee(config, rtol=None):
     """
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
-    verdicts = []
-    nu_function = {}
-    for f, residual, nu in zip(analysis.decomposition.flats,
-                               analysis.residuals.tolist(), analysis.nus.tolist()):
-        labels = config.sublabels(f.members)
-        if f.is_pair:
-            verdicts.append(FlatVerdict(labels, "pair", residual))
-        else:
-            nu_function[labels] = nu
-            verdicts.append(FlatVerdict(labels, "multi", residual, nu))
-
+    decomp = analysis.decomposition
+    nu_function = {
+        config.sublabels(decomp.flats[k].members): float(analysis.nus[k])
+        for k in decomp.multi_flats
+    }
     return VeeReport(
         is_vee_system=bool(analysis.max_residual < tol),
-        per_flat=tuple(verdicts),
         max_residual=analysis.max_residual,
         nu_function=nu_function,
-        decomposition=analysis.decomposition,
+        decomposition=decomp,
         form=analysis.form,
+        config=config,
     )
 
 

@@ -23,6 +23,7 @@ def test_seventeen_entries():
 
 def test_checksum_is_stable():
     assert len(catalogue.data_checksum()) == 64
+    assert catalogue.checksum() == catalogue.data_checksum()
     # loading twice gives the same immutable entries
     assert catalogue.entry("H3") is catalogue.entry("H3")
 

@@ -204,6 +204,24 @@ def test_catalogue_verify_all_strict(runner):
     assert result.output.count("skipped (flagged, --strict)") == 2
 
 
+def test_catalogue_commands_hash_nothing_after_load(runner, monkeypatch):
+    header = f"input: data sha256:{catalogue.data_checksum()[:16]}\n"
+    catalogue._load()
+    calls = []
+    real = hashlib.sha256
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    for command in ("list", "relations", "verify-all"):
+        result = runner.invoke(main, ["catalogue", command])
+        assert result.exit_code == 0, result.output
+        assert header in result.output, command
+    assert calls == []
+
+
 def test_bad_rtol_rejected(runner):
     result = runner.invoke(main, ["--rtol", "-1", "verify", "--catalogue", "H3"])
     assert result.exit_code == 2

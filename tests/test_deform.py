@@ -7,11 +7,13 @@ from veesys import (
     FREE_NU,
     build_system,
     catalogue,
+    deform,
     deformation_dimension,
     rigidity_test,
     scan_family,
 )
 from veesys.errors import NotAVeeSystem, Reducible
+from veesys.tolerances import RANK_RTOL
 
 
 def test_global_scaling_always_in_kernel():
@@ -82,3 +84,19 @@ def test_kernel_is_orthonormal():
     K = system.kernel_basis
     assert K.shape == (4, 6)
     assert np.allclose(K @ K.T, np.eye(4), atol=1e-10)
+
+
+def test_spectral_gap_is_margin_over_rank_threshold(monkeypatch):
+    """The gap is the smallest kept singular value over the rank threshold
+    RANK_RTOL * max(m, n) * sigma_0; a value below the threshold is dropped."""
+    config = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    basis = np.linalg.qr(np.random.default_rng(4).standard_normal((config.n, 4)))[0]
+    threshold = RANK_RTOL * max(4, config.n)  # relative to sigma_0 = 1
+    for factor, rank, gap in ((1.1, 4, 1.1), (0.9, 3, 1 / threshold)):
+        # rows of equal norm, so scaling rows to unit norm keeps the ratios
+        rows = hadamard @ np.diag([1.0, 1.0, 1.0, factor * threshold]) @ basis.T
+        monkeypatch.setattr(deform, "_assemble_rows", lambda analysis, mode: rows)
+        system = build_system(config, FREE_NU)
+        assert (system.rank, system.corank) == (rank, config.n - rank), factor
+        assert system.spectral_gap == pytest.approx(gap, rel=1e-6), factor

@@ -167,13 +167,25 @@ def test_same_matroid_unknown_on_tiny_budget():
     assert same_matroid(d, d2) == matroid.YES
 
 
+def _decomposition_from_flats(member_sets, n):
+    """A FlatDecomposition from explicit member-index sets, no geometry:
+    the flats sorted by (size, members), as decompose orders them."""
+    flats = sorted((tuple(sorted(m)) for m in member_sets), key=lambda m: (len(m), m))
+    pairs = [m for m in flats if len(m) == 2]
+    return matroid.FlatDecomposition(
+        tuple(map(matroid.Flat, flats)), tuple(range(len(pairs))),
+        tuple(range(len(pairs), len(flats))), n, np.array(pairs, dtype=int).reshape(-1, 2))
+
+
 def test_decomposition_from_flats_matches_decompose():
     config = catalogue.construct("H3", {})
     decomp = decompose(config)
-    rebuilt = matroid.decomposition_from_flats(
+    rebuilt = _decomposition_from_flats(
         [set(f.members) for f in decomp.flats], config.n
     )
     assert fingerprint(rebuilt).digest == fingerprint(decomp).digest
+    assert rebuilt == decomp
+    assert np.array_equal(rebuilt.pair_members, decomp.pair_members)
 
 
 def test_rank_restriction():
@@ -181,6 +193,19 @@ def test_rank_restriction():
     config = CovectorConfiguration(matrix)
     with pytest.raises(RankTooHigh):
         decompose(config)
+
+
+def test_rank_two_configuration_is_one_flat():
+    """All covectors of a rank-2 configuration lie in one flat, a pair flat
+    when there are two of them."""
+    pair = decompose(CovectorConfiguration(np.eye(2)))
+    assert [f.members for f in pair.flats] == [(0, 1)]
+    assert (pair.pair_flats, pair.multi_flats) == ((0,), ())
+    assert pair.pair_members.tolist() == [[0, 1]]
+    angles = np.linspace(0, np.pi, 5)[:-1]
+    line = decompose(CovectorConfiguration(np.array([np.cos(angles), np.sin(angles)])))
+    assert [f.members for f in line.flats] == [(0, 1, 2, 3)]
+    assert (line.pair_flats, line.multi_flats, line.pair_members.shape) == ((), (0,), (0, 2))
 
 
 def test_tiny_covector_flag():

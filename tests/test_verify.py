@@ -16,8 +16,9 @@ from veesys import (
     pairing,
     solve_weights,
 )
-from veesys.core import restrict_forms
+from veesys.core import analyse, restrict_forms
 from veesys.errors import BadEmbedding, NotMultiFlat, VeesysError
+from veesys.verify import FlatVerdict
 
 
 def test_check_vee_accepts_h3():
@@ -194,6 +195,24 @@ def _reference_planes(config):
     return planes
 
 
+def _assert_planes_match_reference(name, config, vee):
+    report = check_vee(config)
+    assert report.is_vee_system == vee, name
+    reference = _reference_planes(config)
+    assert [v.flat for v in report.per_flat] == [p[0] for p in reference], name
+    for k, (verdict, (_, residual, lsq, trace, ratio)) in enumerate(
+            zip(report.per_flat, reference)):
+        # residuals are relative deviations already
+        assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
+        assert config.analysis.ratios[k] == pytest.approx(ratio, rel=1e-12)
+        if lsq is None:
+            assert verdict.nu is None
+            continue
+        assert verdict.nu == pytest.approx(trace, rel=1e-12), (name, verdict)
+        if report.is_vee_system:
+            assert verdict.nu == pytest.approx(lsq, rel=1e-12), (name, verdict)
+
+
 def test_shared_analysis_matches_restrict_forms_reference():
     rng = np.random.default_rng(1234)
     images = list(_gl3_images(rng, 3))
@@ -203,21 +222,62 @@ def test_shared_analysis_matches_restrict_forms_reference():
     points = list(_grid_points()) + images + perturbed
     assert len(points) == 37 + 17 * 3 + 17
     for name, config in points:
+        _assert_planes_match_reference(name, config, "scaled" not in name)
+
+
+def _planted_lines(rng, n):
+    """n covectors: random lines of 3 to 6 collinear points, then generic
+    ones, so that most flats are pair flats."""
+    columns = []
+    while len(columns) < n // 3:
+        basis = rng.standard_normal((3, 2))
+        columns += [basis @ rng.standard_normal(2) for _ in range(rng.integers(3, 7))]
+    columns += [rng.standard_normal(3) for _ in range(n - len(columns))]
+    return CovectorConfiguration(np.array(columns).T)
+
+
+def test_shared_analysis_matches_reference_on_pair_heavy_inputs():
+    rng = np.random.default_rng(4321)
+    points = [(f"planted n={n}", _planted_lines(rng, n)) for n in (32, 40, 48)]
+    # entries perturbed at 1e-4 break every coplanar triple of H4A1
+    for name, image in _gl3_images(rng, 2):
+        if name.startswith("H4A1"):
+            noise = 1 + 1e-4 * rng.standard_normal(image.matrix.shape)
+            points.append((f"{name} perturbed", CovectorConfiguration(image.matrix * noise)))
+    assert len(points) == 5
+    for name, config in points:
+        decomp = config.analysis.decomposition
+        assert len(decomp.pair_flats) > 4 * len(decomp.multi_flats), name
+        _assert_planes_match_reference(name, config, False)
+
+
+def _eager_per_flat(config):
+    """The per-flat verdicts built eagerly from a fresh analysis."""
+    analysis = analyse(config)
+    verdicts = []
+    for f, residual, nu in zip(analysis.decomposition.flats,
+                               analysis.residuals.tolist(), analysis.nus.tolist()):
+        labels = config.sublabels(f.members)
+        if f.is_pair:
+            verdicts.append(FlatVerdict(labels, "pair", residual))
+        else:
+            verdicts.append(FlatVerdict(labels, "multi", residual, nu))
+    return tuple(verdicts)
+
+
+def test_per_flat_matches_eager_reference():
+    rng = np.random.default_rng(99)
+    points = [catalogue.construct("H4A1", {}), catalogue.construct("F3", {"t": 1}),
+              _planted_lines(rng, 40)]
+    for config in points:
         report = check_vee(config)
-        assert report.is_vee_system == ("scaled" not in name), name
-        reference = _reference_planes(config)
-        assert [v.flat for v in report.per_flat] == [p[0] for p in reference], name
-        for k, (verdict, (_, residual, lsq, trace, ratio)) in enumerate(
-                zip(report.per_flat, reference)):
-            # residuals are relative deviations already
-            assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
-            assert config.analysis.ratios[k] == pytest.approx(ratio, rel=1e-12)
-            if lsq is None:
-                assert verdict.nu is None
-                continue
-            assert verdict.nu == pytest.approx(trace, rel=1e-12), (name, verdict)
-            if report.is_vee_system:
-                assert verdict.nu == pytest.approx(lsq, rel=1e-12), (name, verdict)
+        assert "per_flat" not in vars(report)  # built on first read only
+        nu_function, vee = report.nu_function, report.is_vee_system
+        verdicts = report.per_flat
+        assert verdicts is report.per_flat
+        assert verdicts == _eager_per_flat(config)
+        assert {v.flat: v.nu for v in verdicts if v.kind == "multi"} == nu_function
+        assert vee == all(v.residual < DEFAULT_RTOL for v in verdicts)
 
 
 def _chain(config, rtol=None):
