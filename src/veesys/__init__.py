@@ -13,16 +13,12 @@ from .core import (
     CanonicalForm,
     CovectorConfiguration,
     canonical_form,
-    dual,
-    pairing,
-    pairing_matrix,
 )
 from .deform import (
     FIXED_NU,
     FREE_NU,
     DeformationSystem,
     build_system,
-    deformation_dimension,
     rigidity_test,
     scan_family,
 )
@@ -73,15 +69,11 @@ __all__ = [
     "check_vee",
     "cross_ratio",
     "decompose",
-    "deformation_dimension",
-    "dual",
     "fingerprint",
     "load_document",
     "load_script",
     "meet",
     "nu_trace",
-    "pairing",
-    "pairing_matrix",
     "parse_document",
     "parse_script",
     "rigidity_test",

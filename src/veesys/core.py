@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matroid
-from .errors import DegeneratePlane, SingularForm
-from .tolerances import DEFAULT_RTOL, resolve
+from .errors import SingularForm
+from .tolerances import DEFAULT_RTOL
 
 
 def _as_readonly(a):
@@ -95,9 +95,6 @@ class CovectorConfiguration:
         """The covector at 0-based ``index`` as a 1-d array."""
         return self.matrix[:, index]
 
-    def index_of(self, label):
-        return self.labels.index(str(label))
-
     def sublabels(self, indices):
         return tuple(self.labels[i] for i in indices)
 
@@ -139,24 +136,6 @@ class CanonicalForm:
 
 
 @dataclass(frozen=True)
-class PlaneForm:
-    """Restrictions of G and of the plane form G^Pi to a 2-flat's dual plane.
-
-    Both 2x2 matrices are expressed in the basis (alpha_dual, beta_dual) of
-    the first two member covectors of the flat.
-    """
-
-    restricted_gram: np.ndarray
-    restricted_plane_gram: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "restricted_gram",
-                           _as_readonly(self.restricted_gram))
-        object.__setattr__(self, "restricted_plane_gram",
-                           _as_readonly(self.restricted_plane_gram))
-
-
-@dataclass(frozen=True)
 class PlaneAnalysis:
     """The tolerance-free plane data every check reads, one entry per flat
     of ``decomposition`` (in its order: pair flats, then multi flats).
@@ -194,56 +173,10 @@ def canonical_form(config):
     return CanonicalForm(G, G_inv, float(largest / smallest))
 
 
-def dual(config, form, index):
-    """The dual vector G^{-1} alpha of covector ``index`` (0-based)."""
-    return form.gram_inverse @ config.covector(index)
-
-
-def pairing(config, form, i, j):
-    """The canonical scalar product alpha_i^T G^{-1} alpha_j."""
-    return float(config.covector(i) @ form.gram_inverse @ config.covector(j))
-
-
 def pairing_matrix(config, form):
     """All pairwise canonical products as an n x n symmetric matrix."""
     M = config.matrix.T @ form.gram_inverse @ config.matrix
     return 0.5 * (M + M.T)
-
-
-def restrict_forms(config, form, flat, rtol=None):
-    """Restrict G and the plane form G^Pi of a flat to the flat's dual plane.
-
-    The basis is (alpha_dual, beta_dual) for the flat's first two members.
-    Raises DegeneratePlane if those two members are numerically proportional.
-    """
-    members = list(flat.members) if hasattr(flat, "members") else list(flat)
-    i, j = members[0], members[1]
-    u = dual(config, form, i)
-    v = dual(config, form, j)
-    nu_ = np.linalg.norm(u)
-    nv_ = np.linalg.norm(v)
-    tol = resolve(rtol)
-    if np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < tol * nu_ * nv_:
-        raise DegeneratePlane(
-            f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
-        )
-    # G(x, y) evaluated on dual vectors equals the canonical pairing.
-    g = np.array(
-        [
-            [pairing(config, form, i, i), pairing(config, form, i, j)],
-            [pairing(config, form, i, j), pairing(config, form, j, j)],
-        ]
-    )
-    # G^Pi(x, y) = sum over flat members gamma of gamma(x) gamma(y).
-    vals_u = np.array([config.covector(k) @ u for k in members])
-    vals_v = np.array([config.covector(k) @ v for k in members])
-    gp = np.array(
-        [
-            [vals_u @ vals_u, vals_u @ vals_v],
-            [vals_u @ vals_v, vals_v @ vals_v],
-        ]
-    )
-    return PlaneForm(g, gp)
 
 
 def analyse(config):

@@ -96,11 +96,6 @@ def build_system(config, mode=FREE_NU, rtol=None):
     return DeformationSystem(mode, matrix, rank, corank, kernel, svals, gap)
 
 
-def deformation_dimension(config, rtol=None):
-    """Corank of the freeNu system; 1 means only global scaling survives."""
-    return build_system(config, FREE_NU, rtol=rtol).corank
-
-
 def _is_connected_through_multi_flats(analysis):
     """Whether every covector is reached from the first through shared multi flats."""
     multi = analysis.incidence[:, list(analysis.decomposition.multi_flats)]

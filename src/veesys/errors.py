@@ -27,6 +27,11 @@ class RankTooHigh(VeesysError):
     """Flat enumeration is implemented for rank <= 3 only."""
 
 
+class AmbiguousFlats(VeesysError):
+    """The coplanarity decisions of a configuration's triples contradict each
+    other, so its flats do not partition the pairs of covectors."""
+
+
 class NotMultiFlat(VeesysError):
     """Operation requires a flat with at least three members."""
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankTooHigh
-from .tolerances import COPLANAR_TOL, TINY_NORM
+from .errors import AmbiguousFlats, RankTooHigh
+from .tolerances import COPLANAR_TOL
 
 YES = "Yes"
 NO = "No"
@@ -48,7 +48,6 @@ class FlatDecomposition:
     multi_flats: tuple  # indices into flats
     n: int
     pair_members: np.ndarray = field(compare=False, repr=False)  # read-only (p, 2)
-    tiny_covectors: tuple = ()  # indices with norm < TINY_NORM (degeneracy flag)
 
 
 @dataclass(frozen=True)
@@ -66,77 +65,82 @@ class MatroidFingerprint:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def decompose(config):
     """Enumerate the rank-2 flats of a configuration of rank at most 3.
 
     Covectors are normalized to unit length before the determinant test, so
-    the decomposition is invariant under per-covector scaling.  Pairs (i,j),
-    (i,k) and (j,k) merge into one flat when det(u_i, u_j, u_k) of the unit
-    covectors vanishes within the fixed ``COPLANAR_TOL``, not the relative
-    tolerance (``rtol``) used by the checks.
+    the decomposition is invariant under per-covector scaling.  Covector k
+    lies on the flat through covectors i and j when det(u_i, u_j, u_k) of the
+    unit covectors vanishes within the fixed ``COPLANAR_TOL``, not the
+    relative tolerance (``rtol``) used by the checks.
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
-    pairs i < j times the unit covectors.  A pair in no coplanar triple is a
-    pair flat and stays a row of ``pair_members``; only the pairs of the
-    coplanar triples go through the union and the grouping in Python.
+    pairs i < j times the unit covectors.  Its rows below ``COPLANAR_TOL``
+    are the flats, read by ``_read_rows``, which raises AmbiguousFlats when
+    they contradict each other.
     """
     r, n = config.matrix.shape
     if r > 3:
         raise RankTooHigh(f"flat enumeration supports rank <= 3, got {r}")
 
-    norms = np.linalg.norm(config.matrix, axis=0)
-    tiny = tuple(int(i) for i in np.flatnonzero(norms < TINY_NORM))
-    unit = config.matrix / norms
+    unit = config.matrix / np.linalg.norm(config.matrix, axis=0)
     if r < 3:  # embedded in rank 3, where all its triples are coplanar
         unit = np.vstack([unit, np.zeros((3 - r, n))])
 
     # Row p of dets holds det(u_i, u_j, u_k) = (u_i x u_j) . u_k for the
-    # p-th pair i < j and every k; each coplanar triple is taken once, at
-    # its k > j entry.
-    ends = np.transpose(np.triu_indices(n, 1))
+    # p-th pair i < j and every k, i and j included.
+    k = np.arange(n)
+    ends = np.argwhere(np.less.outer(k, k))  # np.triu_indices order, at a third of its cost
     first, second = ends.T
     x, y = unit.T[:, [1, 2, 0]], unit.T[:, [2, 0, 1]]  # rolled coordinates
     dets = (x[first] * y[second] - y[first] * x[second]) @ unit
     np.abs(dets, out=dets)  # in place: the largest array of the call
-    coplanar = (dets < COPLANAR_TOL) & (np.arange(n) > second[:, None])
-    rows, third = np.divmod(np.flatnonzero(coplanar), n)
-    i, j = first[rows], second[rows]
-    in_triple = np.zeros((n, n), dtype=bool)
-    in_triple[i, j] = in_triple[i, third] = in_triple[j, third] = True
-    pair_members = ends[~in_triple[first, second]]
-    pair_members.setflags(write=False)
-
-    # Union-find over the pairs of coplanar triples; (i,j) has id i*n + j.
-    uf = _UnionFind(n * n)
-    for a, b, c in zip(i.tolist(), j.tolist(), third.tolist()):
-        uf.union(a * n + b, a * n + c)
-        uf.union(a * n + b, b * n + c)
-    groups = {}
-    for a, b in zip(*(side.tolist() for side in np.nonzero(in_triple))):
-        groups.setdefault(uf.find(a * n + b), set()).update((a, b))
-    multi = sorted((tuple(sorted(m)) for m in groups.values()),
-                   key=lambda m: (len(m), m))
-
+    pair_members, multi = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
     p = len(pair_members)
     flats = tuple(map(Flat, map(tuple, pair_members.tolist()))) + tuple(map(Flat, multi))
     return FlatDecomposition(flats, tuple(range(p)), tuple(range(p, len(flats))),
-                             n, pair_members, tiny)
+                             n, pair_members)
+
+
+def _read_rows(hits, ends, labels):
+    """The pair flats, a read-only (p, 2) array, and the sorted multi flats.
+
+    Row p of ``hits`` marks the covectors coplanar with the pair ``ends[p]``,
+    both ends included, pairs in np.triu_indices order.  A row with two hits
+    is a pair flat; a multi flat is read from the row of its two smallest
+    members.  Raises AmbiguousFlats unless each row marks the set of that
+    leading row and the flats hold the C(n, 2) pairs between them.
+    """
+    n = hits.shape[1]
+    counts = np.count_nonzero(hits, axis=1)
+    pair_members = ends[counts == 2]
+    pair_members.setflags(write=False)
+
+    rows = np.flatnonzero(counts > 2)
+    on_row = hits[rows]
+    a = on_row.argmax(1)
+    b = (on_row & (np.arange(n) > a[:, None])).argmax(1)
+    lead = a * (2 * n - a - 1) // 2 + b - a - 1  # the row of pair (a, b)
+    heads = rows[lead == rows]
+    sizes = counts[heads]
+    on_flats = sizes * (sizes - 1) // 2  # pairs on each multi flat
+    clash = rows[(on_row != hits[lead]).any(1)]
+    if len(clash) or len(pair_members) + on_flats.sum() != len(ends):
+        # a row whose flat is not its leading row's, else a flat with a pair led elsewhere
+        short = heads[np.bincount(lead, minlength=len(ends))[heads] < on_flats]
+        row = np.concatenate([clash, short])[0]
+        i, j = ends[row]
+        raise AmbiguousFlats(
+            f"coplanarity contradicts itself: the |det| row of covectors "
+            f"{labels[i]} and {labels[j]} reads the flat "
+            f"{tuple(labels[k] for k in np.flatnonzero(hits[row]))}, which the "
+            f"rows of other pairs of it contradict (COPLANAR_TOL = {COPLANAR_TOL:g})")
+
+    members = np.nonzero(hits[heads])[1].tolist()
+    stops = np.cumsum(sizes).tolist()
+    multi = sorted((tuple(members[stop - size:stop])
+                    for stop, size in zip(stops, sizes.tolist())), key=lambda m: (len(m), m))
+    return pair_members, multi
 
 
 def fingerprint(decomposition):

