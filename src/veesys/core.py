@@ -117,6 +117,11 @@ class CovectorConfiguration:
                                      self.labels)
 
     @cached_property
+    def decomposition(self):
+        """The FlatDecomposition, enumerated on first use and kept with the object."""
+        return matroid._enumerate_flats(self)
+
+    @cached_property
     def analysis(self):
         """The PlaneAnalysis, computed on first use and kept with the object."""
         return analyse(self)
@@ -139,13 +144,14 @@ class CanonicalForm:
 class PlaneAnalysis:
     """The tolerance-free plane data every check reads, one entry per flat
     of ``decomposition`` (in its order: pair flats, then multi flats).
-    Thresholds are applied by the callers, so one analysis serves every
-    tolerance.  Only the multi flats go through Python loops."""
+    ``decomposition`` is the configuration's own, so its covector x flat
+    ``incidence`` serves the checks too.  Thresholds are applied by the
+    callers, so one analysis serves every tolerance.  Only the multi flats
+    go through Python loops."""
 
     form: CanonicalForm
     pairings: np.ndarray  # P = A^T G^{-1} A
-    decomposition: object  # matroid.FlatDecomposition
-    incidence: np.ndarray  # n x flats, True where covector k lies in the flat
+    decomposition: object  # the configuration's matroid.FlatDecomposition
     residuals: np.ndarray  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
     nus: np.ndarray  # 1/2 sum of P_kk over the members
     ratios: np.ndarray  # |u ^ v| / (|u| |v|) of the first two member duals
@@ -192,22 +198,17 @@ def analyse(config):
     """
     form = canonical_form(config)
     P = pairing_matrix(config, form)
-    decomp = matroid.decompose(config)
+    decomp = config.decomposition
     p = len(decomp.pair_flats)
-    multi = [decomp.flats[k].members for k in decomp.multi_flats]
-    ends = np.concatenate([decomp.pair_members,
-                           np.array([m[:2] for m in multi], dtype=int).reshape(-1, 2)])
+    leads = [decomp.flats[k].members[:2] for k in decomp.multi_flats]
+    ends = np.concatenate([decomp.pair_members, np.array(leads, dtype=int).reshape(-1, 2)])
     first, second = ends.T
-    member = np.zeros((config.n, len(ends)), dtype=bool)
-    member[decomp.pair_members, np.arange(p)[:, None]] = True
-    for col, members in enumerate(multi, p):
-        member[list(members), col] = True
 
     # entries (11, 12, 22) of the symmetric 2x2 restrictions; the
     # off-diagonal entry counts twice in Frobenius products
     g = np.stack([P[first, first], P[first, second], P[second, second]])
     weight = np.array([[1.0], [2.0], [1.0]])
-    i, j, g_multi, in_multi = first[p:], second[p:], g[:, p:], member[:, p:]
+    i, j, g_multi, in_multi = first[p:], second[p:], g[:, p:], decomp.incidence[:, p:]
     gp = np.stack([(in_multi * P[:, a] * P[:, b]).sum(0)
                    for a, b in ((i, i), (i, j), (j, j))])
     nu_lsq = (weight * gp * g_multi).sum(0) / (weight * g_multi * g_multi).sum(0)
@@ -223,7 +224,7 @@ def analyse(config):
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     ratios = (np.sqrt((wedge ** 2).sum((0, 1)))
               / (np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)))
-    for shared in (P, member, residuals, nus, ratios):
+    for shared in (P, residuals, nus, ratios):
         shared.setflags(write=False)
-    return PlaneAnalysis(form, P, decomp, member, residuals, nus, ratios,
+    return PlaneAnalysis(form, P, decomp, residuals, nus, ratios,
                          float(residuals.max(initial=0.0)))

@@ -54,7 +54,7 @@ def _assemble_rows(analysis, mode):
     multi = list(decomp.multi_flats)
     i, j = np.array([decomp.flats[k].members[:2] for k in multi], dtype=int).reshape(-1, 2).T
     # coefficients of xi in X^Pi - nu X
-    weight = analysis.incidence[:, multi] - analysis.nus[multi]
+    weight = decomp.incidence[:, multi] - analysis.nus[multi]
     m11, m12, m22 = (weight * P[:, a] * P[:, b] for a, b in ((i, i), (i, j), (j, j)))
     if mode == FREE_NU:
         # proportionality to (g11, g12, g22), free factor eliminated
@@ -98,7 +98,8 @@ def build_system(config, mode=FREE_NU, rtol=None):
 
 def _is_connected_through_multi_flats(analysis):
     """Whether every covector is reached from the first through shared multi flats."""
-    multi = analysis.incidence[:, list(analysis.decomposition.multi_flats)]
+    decomp = analysis.decomposition
+    multi = decomp.incidence[:, list(decomp.multi_flats)]
     reached = np.arange(len(multi)) == 0
     while True:
         grown = reached | multi[:, multi[reached].any(0)].any(1)

@@ -48,6 +48,7 @@ class FlatDecomposition:
     multi_flats: tuple  # indices into flats
     n: int
     pair_members: np.ndarray = field(compare=False, repr=False)  # read-only (p, 2)
+    incidence: np.ndarray = field(compare=False, repr=False)  # read-only bool n x flats
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,18 @@ class MatroidFingerprint:
 
 
 def decompose(config):
+    """The rank-2 flats of a configuration of rank at most 3.
+
+    Returns ``config.decomposition``, which the configuration enumerates
+    once, on first use, and shares with its plane analysis; every call on
+    one configuration returns that same FlatDecomposition.  Raises
+    RankTooHigh or AmbiguousFlats on every call, as no decomposition is kept
+    when the enumeration raises.
+    """
+    return config.decomposition
+
+
+def _enumerate_flats(config):
     """Enumerate the rank-2 flats of a configuration of rank at most 3.
 
     Covectors are normalized to unit length before the determinant test, so
@@ -95,25 +108,29 @@ def decompose(config):
     x, y = unit.T[:, [1, 2, 0]], unit.T[:, [2, 0, 1]]  # rolled coordinates
     dets = (x[first] * y[second] - y[first] * x[second]) @ unit
     np.abs(dets, out=dets)  # in place: the largest array of the call
-    pair_members, multi = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
+    pair_members, multi, incidence = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
     p = len(pair_members)
     flats = tuple(map(Flat, map(tuple, pair_members.tolist()))) + tuple(map(Flat, multi))
     return FlatDecomposition(flats, tuple(range(p)), tuple(range(p, len(flats))),
-                             n, pair_members)
+                             n, pair_members, incidence)
 
 
 def _read_rows(hits, ends, labels):
-    """The pair flats, a read-only (p, 2) array, and the sorted multi flats.
+    """The pair flats, a read-only (p, 2) array, the sorted multi flats, and
+    the read-only n x flats incidence of covectors and flats.
 
     Row p of ``hits`` marks the covectors coplanar with the pair ``ends[p]``,
     both ends included, pairs in np.triu_indices order.  A row with two hits
     is a pair flat; a multi flat is read from the row of its two smallest
-    members.  Raises AmbiguousFlats unless each row marks the set of that
-    leading row and the flats hold the C(n, 2) pairs between them.
+    members.  The incidence is those rows, pair rows first, transposed to a
+    C-contiguous boolean array with one column per flat in ``flats`` order.
+    Raises AmbiguousFlats unless each row marks the set of that leading row
+    and the flats hold the C(n, 2) pairs between them.
     """
     n = hits.shape[1]
     counts = np.count_nonzero(hits, axis=1)
-    pair_members = ends[counts == 2]
+    is_pair = counts == 2
+    pair_members = ends[is_pair]
     pair_members.setflags(write=False)
 
     rows = np.flatnonzero(counts > 2)
@@ -136,11 +153,16 @@ def _read_rows(hits, ends, labels):
             f"{tuple(labels[k] for k in np.flatnonzero(hits[row]))}, which the "
             f"rows of other pairs of it contradict (COPLANAR_TOL = {COPLANAR_TOL:g})")
 
-    members = np.nonzero(hits[heads])[1].tolist()
-    stops = np.cumsum(sizes).tolist()
-    multi = sorted((tuple(members[stop - size:stop])
-                    for stop, size in zip(stops, sizes.tolist())), key=lambda m: (len(m), m))
-    return pair_members, multi
+    # Heads run in the order of their pairs (a, b), which no two flats share,
+    # so sorting them by size alone gives the (size, members) order.
+    order = np.argsort(sizes, kind="stable")
+    heads, sizes = heads[order], sizes[order].tolist()
+    incidence = hits[np.concatenate([np.flatnonzero(is_pair), heads])].T.copy()
+    incidence.setflags(write=False)
+    members = np.nonzero(incidence[:, len(pair_members):].T)[1].tolist()
+    multi = [tuple(members[stop - size:stop])
+             for stop, size in zip(itertools.accumulate(sizes), sizes)]
+    return pair_members, multi, incidence
 
 
 def fingerprint(decomposition):

@@ -139,16 +139,16 @@ def solve_weights(config, rtol=None):
     analysis = plane_analysis(config, rtol)
     decomp = analysis.decomposition
     multi = list(decomp.multi_flats)
-    M = analysis.incidence[:, multi].astype(float)
+    M = decomp.incidence[:, multi].astype(float)
     ones = np.ones(decomp.n)
     if len(multi) == 0:
         return WeightSolution("infeasible", residual=1.0)
-    x, *_ = np.linalg.lstsq(M, ones, rcond=None)
+    # one SVD: lstsq's own singular values give the rank at the absolute 1e-9
+    x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
     residual = float(np.abs(M @ x - ones).max())
     if residual >= 1e-9:
         return WeightSolution("infeasible", residual=residual)
-    rank = np.linalg.matrix_rank(M, tol=1e-9)
-    status = "underdetermined" if rank < len(multi) else "feasible"
+    status = "underdetermined" if np.count_nonzero(svals > 1e-9) < len(multi) else "feasible"
     weights = {
         config.sublabels(decomp.flats[k].members): float(x[col])
         for col, k in enumerate(multi)
@@ -178,7 +178,8 @@ def check_harmonic(config, rtol=None):
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     P = analysis.pairings
-    quads = [f for f in analysis.decomposition.flats if f.size == 4]
+    flats = analysis.decomposition.flats
+    quads = [flats[k] for k in analysis.decomposition.multi_flats if flats[k].size == 4]
     members = np.array([f.members for f in quads], dtype=int).reshape(-1, 4)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
     orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < max(tol, 1e-9) * 10

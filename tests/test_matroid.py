@@ -57,11 +57,24 @@ def _reference_flats(config):
                         key=lambda m: (len(m), m)))
 
 
+def _incidence_of(flats, n):
+    """The n x flats incidence, column by column from the member tuples."""
+    incidence = np.zeros((n, len(flats)), dtype=bool)
+    for col, members in enumerate(flats):
+        incidence[list(members), col] = True
+    return incidence
+
+
 def _assert_matches_reference(name, config):
-    flats = tuple(f.members for f in decompose(config).flats)
+    decomp = decompose(config)
+    flats = tuple(f.members for f in decomp.flats)
     assert flats == _reference_flats(config), name
     covered = sum(math.comb(len(m), 2) for m in flats)
     assert covered == math.comb(config.n, 2), name
+    incidence = decomp.incidence
+    assert incidence.dtype == bool, name
+    assert incidence.flags.c_contiguous and not incidence.flags.writeable, name
+    assert np.array_equal(incidence, _incidence_of(flats, config.n)), name
     return flats
 
 
@@ -186,25 +199,29 @@ def _decomposition_from_flats(member_sets, n):
     pairs = [m for m in flats if len(m) == 2]
     return matroid.FlatDecomposition(
         tuple(map(matroid.Flat, flats)), tuple(range(len(pairs))),
-        tuple(range(len(pairs), len(flats))), n, np.array(pairs, dtype=int).reshape(-1, 2))
+        tuple(range(len(pairs), len(flats))), n, np.array(pairs, dtype=int).reshape(-1, 2),
+        _incidence_of(flats, n))
 
 
 def test_decomposition_from_flats_matches_decompose():
     config = catalogue.construct("H3", {})
     decomp = decompose(config)
+    assert decompose(config) is config.analysis.decomposition is decomp
     rebuilt = _decomposition_from_flats(
         [set(f.members) for f in decomp.flats], config.n
     )
     assert fingerprint(rebuilt).digest == fingerprint(decomp).digest
     assert rebuilt == decomp
     assert np.array_equal(rebuilt.pair_members, decomp.pair_members)
+    assert np.array_equal(rebuilt.incidence, decomp.incidence)
 
 
 def test_rank_restriction():
     matrix = np.vstack([np.eye(4), np.ones((1, 4))]).T  # 4 x 5, rank 4
     config = CovectorConfiguration(matrix)
-    with pytest.raises(RankTooHigh):
-        decompose(config)
+    for _ in range(2):  # a failed enumeration is not kept
+        with pytest.raises(RankTooHigh):
+            decompose(config)
 
 
 def test_rank_two_configuration_is_one_flat():
@@ -272,8 +289,9 @@ def test_coplanarity_contradiction_raises_between_consistent_sides():
     # oracle chains them into one flat whose triples are not all coplanar
     contradictory = _five_covectors(1.2e-9)
     assert _reference_flats(contradictory)[-1] == (0, 1, 2, 3)
-    with pytest.raises(AmbiguousFlats, match=r"row of covectors [a-e] and [a-e] reads"):
-        decompose(contradictory)
+    for _ in range(2):  # a failed enumeration is not kept
+        with pytest.raises(AmbiguousFlats, match=r"row of covectors [a-e] and [a-e] reads"):
+            decompose(contradictory)
 
 
 def test_rows_that_split_a_flat_raise():
@@ -290,5 +308,6 @@ def test_rows_that_split_a_flat_raise():
     with pytest.raises(AmbiguousFlats, match=flat):
         matroid._read_rows(hits, ends, tuple("abcd"))
     hits[3, 0] = True  # row (1,2) joins them: one flat (0,1,2) and three pairs
-    pairs, multi = matroid._read_rows(hits, ends, tuple("abcd"))
+    pairs, multi, incidence = matroid._read_rows(hits, ends, tuple("abcd"))
     assert (pairs.tolist(), multi) == ([[0, 3], [1, 3], [2, 3]], [(0, 1, 2)])
+    assert incidence.tolist() == _incidence_of([(0, 3), (1, 3), (2, 3), (0, 1, 2)], 4).tolist()

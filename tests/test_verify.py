@@ -310,12 +310,25 @@ def test_chain_decomposes_and_forms_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(matroid, "decompose", counted("decompose", matroid.decompose))
+    # the function that enumerates the flats, behind config.decomposition
+    monkeypatch.setattr(matroid, "_enumerate_flats",
+                        counted("decompose", matroid._enumerate_flats))
     monkeypatch.setattr(core, "canonical_form",
                         counted("canonical_form", core.canonical_form))
     config = catalogue.construct("H4A1", {})
     outcomes = _chain(config)
     assert not any(isinstance(o, str) for o in outcomes), outcomes
+    assert counts == {"decompose": 1, "canonical_form": 1}
+
+    # the chain of a configuration that fails check_vee: check_vee, then
+    # decompose, then fingerprint
+    counts.update(dict.fromkeys(counts, 0))
+    perturbed = config.scaled(1 + 1e-3 * np.random.default_rng(8).standard_normal(config.n))
+    report = check_vee(perturbed)
+    assert not report.is_vee_system
+    decomp = decompose(perturbed)
+    matroid.fingerprint(decomp)
+    assert decomp is report.decomposition
     assert counts == {"decompose": 1, "canonical_form": 1}
 
 
