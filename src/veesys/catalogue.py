@@ -19,6 +19,7 @@ relation path per line, so that a change reads line by line.  Its
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -277,10 +278,11 @@ def verify_entry(entry_id, params=None, rtol=None):
             f"plane conditions fail, max residual {vee.max_residual:.3e}"
         )
 
-    computed_flats = set(
-        frozenset(config.labels[i] for i in f.members)
-        for f in vee.decomposition.flats
-    )
+    decomp = vee.decomposition
+    computed_flats = {
+        frozenset(config.sublabels(members))
+        for members in itertools.chain(decomp.pair_members.tolist(), decomp.multi)
+    }
     oracle_flats = ent.flat_label_sets()
     if computed_flats != oracle_flats:
         report.passed = False

@@ -163,8 +163,8 @@ def cmd_matroid(input, catalogue_id, params_text, out):
     decomp = matroid.decompose(config)
     fp = matroid.fingerprint(decomp)
     report.add("covectors", decomp.n)
-    report.add("pairFlats", len(decomp.pair_flats))
-    report.add("multiFlats", len(decomp.multi_flats))
+    report.add("pairFlats", len(decomp.pair_members))
+    report.add("multiFlats", len(decomp.multi))
     report.add("fingerprint", fp.digest)
     report.section("flats")
     for f in decomp.flats:

@@ -142,19 +142,20 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class PlaneAnalysis:
-    """The tolerance-free plane data every check reads, one entry per flat
-    of ``decomposition`` (in its order: pair flats, then multi flats).
-    ``decomposition`` is the configuration's own, so its covector x flat
-    ``incidence`` serves the checks too.  Thresholds are applied by the
-    callers, so one analysis serves every tolerance.  Only the multi flats
-    go through Python loops."""
+    """The tolerance-free plane data every check reads.  ``residuals`` and
+    ``nus`` hold one entry per flat of ``decomposition``, in its order (pair
+    flats, then multi flats); ``ratios`` holds one per multi flat, in
+    ``decomposition.multi`` order.  ``decomposition`` is the configuration's
+    own, so its covector x flat ``incidence`` serves the checks too.
+    Thresholds are applied by the callers, so one analysis serves every
+    tolerance."""
 
     form: CanonicalForm
     pairings: np.ndarray  # P = A^T G^{-1} A
     decomposition: object  # the configuration's matroid.FlatDecomposition
     residuals: np.ndarray  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
     nus: np.ndarray  # 1/2 sum of P_kk over the members
-    ratios: np.ndarray  # |u ^ v| / (|u| |v|) of the first two member duals
+    ratios: np.ndarray  # multi flats: |u ^ v| / (|u| |v|) of the first two member duals
     max_residual: float
 
 
@@ -193,16 +194,16 @@ def analyse(config):
     G to the dual plane is (P_ii, P_ij, P_jj) and that of the plane form is
     the sum over members k of (P_ki P_ki, P_ki P_kj, P_kj P_kj).  A multi
     flat's residual is the relative deviation of the plane form from nu * G
-    restricted, with nu the least-squares factor.  Pair flats are read from P
-    as arrays; only the m multi flats are looped over and pay n x m work.
+    restricted, with nu the least-squares factor, and its ratio measures how
+    far its first two duals are from proportional.  Every flat is read from
+    P as arrays; the m multi flats pay n x m work.
     """
     form = canonical_form(config)
     P = pairing_matrix(config, form)
     decomp = config.decomposition
-    p = len(decomp.pair_flats)
-    leads = [decomp.flats[k].members[:2] for k in decomp.multi_flats]
-    ends = np.concatenate([decomp.pair_members, np.array(leads, dtype=int).reshape(-1, 2)])
-    first, second = ends.T
+    p = len(decomp.pair_members)
+    leads = np.array([members[:2] for members in decomp.multi], dtype=int).reshape(-1, 2)
+    first, second = np.concatenate([decomp.pair_members, leads]).T
 
     # entries (11, 12, 22) of the symmetric 2x2 restrictions; the
     # off-diagonal entry counts twice in Frobenius products
@@ -220,7 +221,7 @@ def analyse(config):
     nus = 0.5 * np.concatenate([g[0, :p] + g[2, :p], np.diag(P) @ in_multi])
 
     duals = form.gram_inverse @ config.matrix
-    u, v = duals[:, first], duals[:, second]
+    u, v = duals[:, i], duals[:, j]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     ratios = (np.sqrt((wedge ** 2).sum((0, 1)))
               / (np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)))

@@ -48,7 +48,8 @@ def parse_document(text):
         _fail(f"field 'format': expected {FORMAT!r}, got {doc['format']!r}")
 
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    # bool is an int subclass: JSON true would read as dimension 1
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         _fail("field 'dimension': a positive integer is required")
 
     columns = doc.get("covectors")
@@ -61,7 +62,7 @@ def parse_document(text):
                 f"field 'covectors[{j}]': expected a list of {dimension} entries"
             )
         for i, value in enumerate(col):
-            if not isinstance(value, (str, int, float)):
+            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
                 _fail(f"field 'covectors[{j}][{i}]': expected a decimal string")
             try:
                 matrix[i, j] = float(value)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +44,36 @@ class Flat:
 
 @dataclass(frozen=True)
 class FlatDecomposition:
-    flats: tuple  # all flats, sorted by (size, members): pair flats first
-    pair_flats: tuple  # indices into flats, range(len(pair_members))
-    multi_flats: tuple  # indices into flats
+    """The rank-2 flats of n covectors, held as arrays.
+
+    Flats are numbered pair flats first, in np.triu_indices order of their
+    members, then the multi flats in (size, members) order; ``pair_flats``
+    and ``multi_flats`` are the two ranges of that numbering, and column k
+    of ``incidence`` marks the members of flat k.  Equality compares ``n``
+    and ``multi`` alone: in rank 3 the multi flats fix the pair flats, the
+    pairs no multi flat covers.  ``flats`` is for display and builds one
+    Flat per flat on first read; the checks read the arrays.
+    """
+
     n: int
+    multi: tuple  # member tuples of the multi flats, sorted by (size, members)
     pair_members: np.ndarray = field(compare=False, repr=False)  # read-only (p, 2)
     incidence: np.ndarray = field(compare=False, repr=False)  # read-only bool n x flats
+
+    @property
+    def pair_flats(self):
+        return range(len(self.pair_members))
+
+    @property
+    def multi_flats(self):
+        p = len(self.pair_members)
+        return range(p, p + len(self.multi))
+
+    @cached_property
+    def flats(self):
+        """Every flat as a Flat, in flat order (display only)."""
+        pairs = map(tuple, self.pair_members.tolist())
+        return tuple(map(Flat, pairs)) + tuple(map(Flat, self.multi))
 
 
 @dataclass(frozen=True)
@@ -109,21 +134,20 @@ def _enumerate_flats(config):
     dets = (x[first] * y[second] - y[first] * x[second]) @ unit
     np.abs(dets, out=dets)  # in place: the largest array of the call
     pair_members, multi, incidence = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
-    p = len(pair_members)
-    flats = tuple(map(Flat, map(tuple, pair_members.tolist()))) + tuple(map(Flat, multi))
-    return FlatDecomposition(flats, tuple(range(p)), tuple(range(p, len(flats))),
-                             n, pair_members, incidence)
+    return FlatDecomposition(n, multi, pair_members, incidence)
 
 
 def _read_rows(hits, ends, labels):
-    """The pair flats, a read-only (p, 2) array, the sorted multi flats, and
-    the read-only n x flats incidence of covectors and flats.
+    """The pair flats, a read-only (p, 2) array, the multi flats, a tuple of
+    member tuples sorted by (size, members), and the read-only n x flats
+    incidence of covectors and flats.
 
     Row p of ``hits`` marks the covectors coplanar with the pair ``ends[p]``,
     both ends included, pairs in np.triu_indices order.  A row with two hits
     is a pair flat; a multi flat is read from the row of its two smallest
     members.  The incidence is those rows, pair rows first, transposed to a
-    C-contiguous boolean array with one column per flat in ``flats`` order.
+    C-contiguous boolean array with one column per flat, pair flats first,
+    then the multi flats.
     Raises AmbiguousFlats unless each row marks the set of that leading row
     and the flats hold the C(n, 2) pairs between them.
     """
@@ -160,21 +184,20 @@ def _read_rows(hits, ends, labels):
     incidence = hits[np.concatenate([np.flatnonzero(is_pair), heads])].T.copy()
     incidence.setflags(write=False)
     members = np.nonzero(incidence[:, len(pair_members):].T)[1].tolist()
-    multi = [tuple(members[stop - size:stop])
-             for stop, size in zip(itertools.accumulate(sizes), sizes)]
+    multi = tuple(tuple(members[stop - size:stop])
+                  for stop, size in zip(itertools.accumulate(sizes), sizes))
     return pair_members, multi, incidence
 
 
 def fingerprint(decomposition):
     """Relabelling-invariant summary of the flat structure.  Covector k lies
     in n - 1 - sum(size - 1) pair flats, the sum over the multi flats through k."""
-    n = decomposition.n
-    multi = [decomposition.flats[k] for k in decomposition.multi_flats]
-    sizes = (2,) * len(decomposition.pair_flats) + tuple(sorted(f.size for f in multi))
+    n, multi = decomposition.n, decomposition.multi
+    sizes = (2,) * len(decomposition.pair_members) + tuple(map(len, multi))  # multi in size order
     through = [[] for _ in range(n)]
-    for f in multi:
-        for i in f.members:
-            through[i].append(f.size)
+    for members in multi:
+        for i in members:
+            through[i].append(len(members))
     profile = tuple((2,) * (n - 1 - sum(t) + len(t)) + tuple(sorted(t))
                     for t in through)
     return MatroidFingerprint(sizes, profile, tuple(sorted(profile)))
@@ -184,25 +207,31 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _search_bijection(d1, d2, node_budget):
+def _pair_sizes(decomposition):
+    """The size of the flat through each pair of covectors, as an n x n
+    nested list: 2 off the multi flats."""
+    sizes = [[2] * decomposition.n for _ in range(decomposition.n)]
+    for members in decomposition.multi:
+        for a in members:
+            row = sizes[a]
+            for b in members:
+                row[b] = len(members)
+    return sizes
+
+
+def _search_bijection(d1, d2, f1, f2, node_budget):
     """Backtracking search for a covector bijection mapping flats to flats.
 
     Returns the mapping (list, d1 index -> d2 index) or None; raises
-    _BudgetExceeded when the node budget runs out.  Assumes fingerprints
-    already agree.
+    _BudgetExceeded when the node budget runs out.  Assumes the
+    fingerprints ``f1`` and ``f2`` already agree.  Every placed covector
+    keeps the size of the flat through each pair it forms, so at a full
+    mapping the pair flats map onto pair flats and only the multi flats
+    are checked.
     """
     n = d1.n
-    f1, f2 = fingerprint(d1), fingerprint(d2)
-    target_sets = set(f.members for f in d2.flats)
-
-    def pair_sizes(d):
-        ps = {}
-        for f in d.flats:
-            for a, b in itertools.combinations(f.members, 2):
-                ps[(a, b)] = f.size
-        return ps
-
-    ps1, ps2 = pair_sizes(d1), pair_sizes(d2)
+    target_multi = set(d2.multi)
+    ps1, ps2 = _pair_sizes(d1), _pair_sizes(d2)
 
     candidates = [
         [j for j in range(n) if f2.point_profile[j] == f1.point_profile[i]]
@@ -216,27 +245,18 @@ def _search_bijection(d1, d2, node_budget):
     def extend(depth):
         nonlocal nodes
         if depth == n:
-            for f in d1.flats:
-                image = tuple(sorted(mapping[i] for i in f.members))
-                if image not in target_sets:
-                    return False
-            return True
+            return all(tuple(sorted(mapping[i] for i in members)) in target_multi
+                       for members in d1.multi)
         i = order[depth]
+        row1 = ps1[i]
         for j in candidates[i]:
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetExceeded
             if used[j]:
                 continue
-            ok = True
-            for d_prev in range(depth):
-                k = order[d_prev]
-                a, b = min(i, k), max(i, k)
-                u, v = min(j, mapping[k]), max(j, mapping[k])
-                if ps1[(a, b)] != ps2[(u, v)]:
-                    ok = False
-                    break
-            if not ok:
+            row2 = ps2[j]
+            if any(row1[k] != row2[mapping[k]] for k in order[:depth]):
                 continue
             mapping[i] = j
             used[j] = True
@@ -255,7 +275,9 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     Returns "No" when the fingerprints differ or the exhaustive search rules
     a bijection out, "Yes" when a backtracking search finds a bijection of
     covectors mapping flats onto flats, and "Unknown" when the search
-    exceeds its node budget.
+    visits more than ``node_budget`` candidate images.  The search compares
+    the sizes of the flats through each pair of covectors, read from the
+    multi flats, and checks the multi flats of a full mapping.
     """
     if d1.n != d2.n:
         raise ValueError("decompositions must have equal ground-set size")
@@ -264,7 +286,7 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
             or f1.canonical_profile != f2.canonical_profile):
         return NO
     try:
-        mapping = _search_bijection(d1, d2, node_budget)
+        mapping = _search_bijection(d1, d2, f1, f2, node_budget)
     except _BudgetExceeded:
         return UNKNOWN
     return YES if mapping is not None else NO

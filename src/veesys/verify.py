@@ -82,17 +82,19 @@ class ExtensionReport:
 def plane_analysis(config, rtol=None):
     """The configuration's shared PlaneAnalysis, checked at ``rtol``.
 
-    Raises DegeneratePlane when the first two members of a multi flat have
-    numerically proportional duals.
+    Raises DegeneratePlane, naming the first such flat in
+    ``decomposition.multi`` order, when the first two members of a multi
+    flat have numerically proportional duals: its ``ratios`` entry is below
+    ``rtol``.
     """
     tol = resolve(rtol)
     analysis = config.analysis
-    for k in analysis.decomposition.multi_flats:
-        if analysis.ratios[k] < tol:
-            i, j = analysis.decomposition.flats[k].members[:2]
-            raise DegeneratePlane(
-                f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
-            )
+    degenerate = np.flatnonzero(analysis.ratios < tol)
+    if len(degenerate):
+        i, j = analysis.decomposition.multi[degenerate[0]][:2]
+        raise DegeneratePlane(
+            f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
+        )
     return analysis
 
 
@@ -106,10 +108,8 @@ def check_vee(config, rtol=None):
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     decomp = analysis.decomposition
-    nu_function = {
-        config.sublabels(decomp.flats[k].members): float(analysis.nus[k])
-        for k in decomp.multi_flats
-    }
+    nu_function = dict(zip(map(config.sublabels, decomp.multi),
+                           analysis.nus[len(decomp.pair_members):].tolist()))
     return VeeReport(
         is_vee_system=bool(analysis.max_residual < tol),
         max_residual=analysis.max_residual,
@@ -138,22 +138,21 @@ def solve_weights(config, rtol=None):
     """
     analysis = plane_analysis(config, rtol)
     decomp = analysis.decomposition
-    multi = list(decomp.multi_flats)
-    M = decomp.incidence[:, multi].astype(float)
-    ones = np.ones(decomp.n)
-    if len(multi) == 0:
+    if not decomp.multi:
         return WeightSolution("infeasible", residual=1.0)
+    p = len(decomp.pair_members)
+    # Fortran order, as lstsq's rounding depends on the layout
+    M = np.asfortranarray(decomp.incidence[:, p:], dtype=float)
+    ones = np.ones(decomp.n)
     # one SVD: lstsq's own singular values give the rank at the absolute 1e-9
     x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
     residual = float(np.abs(M @ x - ones).max())
     if residual >= 1e-9:
         return WeightSolution("infeasible", residual=residual)
-    status = "underdetermined" if np.count_nonzero(svals > 1e-9) < len(multi) else "feasible"
-    weights = {
-        config.sublabels(decomp.flats[k].members): float(x[col])
-        for col, k in enumerate(multi)
-    }
-    return WeightSolution(status, weights, float(x @ analysis.nus[multi]), residual)
+    rank = np.count_nonzero(svals > 1e-9)
+    status = "underdetermined" if rank < len(decomp.multi) else "feasible"
+    weights = dict(zip(map(config.sublabels, decomp.multi), x.tolist()))
+    return WeightSolution(status, weights, float(x @ analysis.nus[p:]), residual)
 
 
 # The six member pairs of a 4-flat in itertools.combinations order, and per
@@ -178,17 +177,16 @@ def check_harmonic(config, rtol=None):
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     P = analysis.pairings
-    flats = analysis.decomposition.flats
-    quads = [flats[k] for k in analysis.decomposition.multi_flats if flats[k].size == 4]
-    members = np.array([f.members for f in quads], dtype=int).reshape(-1, 4)
+    quads = [members for members in analysis.decomposition.multi if len(members) == 4]
+    members = np.array(quads, dtype=int).reshape(-1, 4)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
     orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < max(tol, 1e-9) * 10
     flat_of, pair_of = np.nonzero(orthogonal)
     points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
     values = iter(cross_ratios(points, rtol=tol).tolist())
     records = []
-    for f, pairs in zip(quads, orthogonal):
-        labels = config.sublabels(f.members)
+    for quad, pairs in zip(quads, orthogonal):
+        labels = config.sublabels(quad)
         count = int(pairs.sum())
         if not count:
             records.append(
@@ -203,7 +201,7 @@ def check_harmonic(config, rtol=None):
                 HarmonicRecord(
                     labels,
                     value,
-                    (config.labels[f.members[a]], config.labels[f.members[b]]),
+                    (config.labels[quad[a]], config.labels[quad[b]]),
                     abs(value + 1.0) < max(tol, 1e-8) * 10,
                     note,
                 )
@@ -244,20 +242,17 @@ def check_extension(inner, outer, embedding, rtol=None):
             return ExtensionReport(False, None)
 
     in_plan, out_plan = plane_analysis(inner, tol), plane_analysis(outer, tol)
-    in_dec, out_flats = in_plan.decomposition, out_plan.decomposition.flats
-    outer_flat_of_pair = {
-        pair: m for m, f in enumerate(out_flats)
-        for pair in itertools.combinations(f.members, 2)
-    }
-    image = set(emb)
+    in_dec, on_outer = in_plan.decomposition, out_plan.decomposition.incidence
+    outside = np.ones(outer.n, dtype=bool)
+    outside[emb] = False
     ratios = {}
     values = []
-    for k in in_dec.multi_flats:
-        f = in_dec.flats[k]
-        labels = inner.sublabels(f.members)
-        m = outer_flat_of_pair[tuple(sorted((emb[f.members[0]], emb[f.members[1]])))]
+    for k, members in zip(in_dec.multi_flats, in_dec.multi):
+        labels = inner.sublabels(members)
+        # the one outer flat through the images of the first two members
+        m = np.argmax(on_outer[emb[members[0]]] & on_outer[emb[members[1]]])
         ratios[labels] = float(in_plan.nus[k] / out_plan.nus[m])
-        if set(out_flats[m].members) <= image:
+        if not on_outer[outside, m].any():
             values.append(ratios[labels])
 
     if values and (max(values) - min(values)) < max(tol, 1e-8) * abs(values[0]) * 10:

@@ -42,11 +42,16 @@ def test_document_fields():
         ("[]", "JSON object"),
         ('{"format": "other/1"}', "format"),
         ('{"dimension": "three"}', "dimension"),
+        ('{"dimension": true, "covectors": [["1"]]}', "field 'dimension'"),
         ('{"dimension": 3, "covectors": []}', "covectors"),
         ('{"dimension": 3, "covectors": [["1", "0"]]}', "covectors[0]"),
         (
             '{"dimension": 2, "covectors": [["1", "x"], ["0", "1"]]}',
             "covectors[0][1]",
+        ),
+        (
+            '{"dimension": 2, "covectors": [["1", "0"], [true, "1"]]}',
+            "field 'covectors[1][0]': expected a decimal string",
         ),
         (
             '{"dimension": 2, "covectors": [["1", "0"], ["0", "1"]], "labels": [1, 2]}',

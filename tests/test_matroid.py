@@ -67,8 +67,13 @@ def _incidence_of(flats, n):
 
 def _assert_matches_reference(name, config):
     decomp = decompose(config)
+    assert "flats" not in vars(decomp), name  # built on first read only
     flats = tuple(f.members for f in decomp.flats)
     assert flats == _reference_flats(config), name
+    assert decomp.flats is decomp.flats, name
+    assert decomp.multi == tuple(m for m in flats if len(m) > 2), name
+    pairs = tuple(map(tuple, decomp.pair_members.tolist()))
+    assert flats[:len(pairs)] == pairs, name
     covered = sum(math.comb(len(m), 2) for m in flats)
     assert covered == math.comb(config.n, 2), name
     incidence = decomp.incidence
@@ -192,14 +197,24 @@ def test_same_matroid_unknown_on_tiny_budget():
     assert same_matroid(d, d2) == matroid.YES
 
 
+def test_same_matroid_budget_is_an_exact_node_count():
+    """The search for this relabelling of H4A1 visits 481 candidate images,
+    so a budget of 480 gives Unknown and one of 481 finds the bijection."""
+    config = catalogue.construct("H4A1", {})
+    perm = [1, 26, 20, 8, 13, 15, 7, 10, 0, 11, 18, 23, 9, 28, 29, 16, 5, 24, 17, 25,
+            2, 6, 19, 30, 22, 4, 3, 12, 21, 27, 14]
+    d, d2 = decompose(config), decompose(config.take(perm))
+    assert same_matroid(d, d2, node_budget=480) == matroid.UNKNOWN
+    assert same_matroid(d, d2, node_budget=481) == matroid.YES
+
+
 def _decomposition_from_flats(member_sets, n):
     """A FlatDecomposition from explicit member-index sets, no geometry:
     the flats sorted by (size, members), as decompose orders them."""
     flats = sorted((tuple(sorted(m)) for m in member_sets), key=lambda m: (len(m), m))
     pairs = [m for m in flats if len(m) == 2]
     return matroid.FlatDecomposition(
-        tuple(map(matroid.Flat, flats)), tuple(range(len(pairs))),
-        tuple(range(len(pairs), len(flats))), n, np.array(pairs, dtype=int).reshape(-1, 2),
+        n, tuple(m for m in flats if len(m) > 2), np.array(pairs, dtype=int).reshape(-1, 2),
         _incidence_of(flats, n))
 
 
@@ -212,8 +227,19 @@ def test_decomposition_from_flats_matches_decompose():
     )
     assert fingerprint(rebuilt).digest == fingerprint(decomp).digest
     assert rebuilt == decomp
+    assert rebuilt.flats == decomp.flats
     assert np.array_equal(rebuilt.pair_members, decomp.pair_members)
     assert np.array_equal(rebuilt.incidence, decomp.incidence)
+
+
+def test_decomposition_equality_reads_n_and_multi():
+    """In rank 3 the multi flats fix the pair flats, so equality compares
+    (n, multi) alone and ignores the arrays."""
+    decomp = decompose(catalogue.construct("H3", {}))
+    assert decomp == matroid.FlatDecomposition(decomp.n, decomp.multi, None, None)
+    assert hash(decomp) == hash(matroid.FlatDecomposition(decomp.n, decomp.multi, None, None))
+    assert decomp != matroid.FlatDecomposition(decomp.n + 1, decomp.multi, None, None)
+    assert decomp != matroid.FlatDecomposition(decomp.n, decomp.multi[1:], None, None)
 
 
 def test_rank_restriction():
@@ -229,12 +255,13 @@ def test_rank_two_configuration_is_one_flat():
     when there are two of them."""
     pair = decompose(CovectorConfiguration(np.eye(2)))
     assert [f.members for f in pair.flats] == [(0, 1)]
-    assert (pair.pair_flats, pair.multi_flats) == ((0,), ())
+    assert (pair.pair_flats, pair.multi_flats, pair.multi) == (range(1), range(1, 1), ())
     assert pair.pair_members.tolist() == [[0, 1]]
     angles = np.linspace(0, np.pi, 5)[:-1]
     line = decompose(CovectorConfiguration(np.array([np.cos(angles), np.sin(angles)])))
     assert [f.members for f in line.flats] == [(0, 1, 2, 3)]
-    assert (line.pair_flats, line.multi_flats, line.pair_members.shape) == ((), (0,), (0, 2))
+    assert (line.pair_flats, line.multi_flats, line.multi) == (range(0), range(1), ((0, 1, 2, 3),))
+    assert line.pair_members.shape == (0, 2)
 
 
 def test_decompose_matches_reference_on_catalogue_grids():
@@ -309,5 +336,5 @@ def test_rows_that_split_a_flat_raise():
         matroid._read_rows(hits, ends, tuple("abcd"))
     hits[3, 0] = True  # row (1,2) joins them: one flat (0,1,2) and three pairs
     pairs, multi, incidence = matroid._read_rows(hits, ends, tuple("abcd"))
-    assert (pairs.tolist(), multi) == ([[0, 3], [1, 3], [2, 3]], [(0, 1, 2)])
+    assert (pairs.tolist(), multi) == ([[0, 3], [1, 3], [2, 3]], ((0, 1, 2),))
     assert incidence.tolist() == _incidence_of([(0, 3), (1, 3), (2, 3), (0, 1, 2)], 4).tolist()

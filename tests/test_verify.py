@@ -12,11 +12,13 @@ from veesys import (
     check_vee,
     decompose,
     deform,
+    matroid,
     nu_trace,
     solve_weights,
+    verify,
 )
 from veesys.core import analyse
-from veesys.errors import BadEmbedding, NotMultiFlat, VeesysError
+from veesys.errors import BadEmbedding, DegeneratePlane, NotMultiFlat, VeesysError
 from veesys.verify import FlatVerdict
 
 
@@ -170,20 +172,21 @@ def _gl3_images(rng, per_family):
 def _reference_planes(config):
     """Per flat (labels, residual, least-squares nu, trace nu, ratio of the
     first two duals), from restrict_forms and one pairing call per entry,
-    without the shared analysis."""
+    without the shared analysis.  Pair flats have neither least-squares nu
+    nor ratio."""
     form = canonical_form(config)
     planes = []
     for f in decompose(config).flats:
         i, j = f.members[:2]
         trace = 0.5 * sum(pairing(config, form, k, k) for k in f.members)
-        u, v = dual(config, form, i), dual(config, form, j)
-        ratio = np.linalg.norm(np.outer(u, v) - np.outer(v, u)) / (
-            np.linalg.norm(u) * np.linalg.norm(v))
         if f.is_pair:
             scale = np.sqrt(pairing(config, form, i, i) * pairing(config, form, j, j))
             planes.append((config.sublabels(f.members),
-                           abs(pairing(config, form, i, j)) / scale, None, trace, ratio))
+                           abs(pairing(config, form, i, j)) / scale, None, trace, None))
             continue
+        u, v = dual(config, form, i), dual(config, form, j)
+        ratio = np.linalg.norm(np.outer(u, v) - np.outer(v, u)) / (
+            np.linalg.norm(u) * np.linalg.norm(v))
         pf = restrict_forms(config, form, f)
         g, gp = pf.restricted_gram, pf.restricted_plane_gram
         lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
@@ -197,11 +200,12 @@ def _assert_planes_match_reference(name, config, vee):
     assert report.is_vee_system == vee, name
     reference = _reference_planes(config)
     assert [v.flat for v in report.per_flat] == [p[0] for p in reference], name
-    for k, (verdict, (_, residual, lsq, trace, ratio)) in enumerate(
-            zip(report.per_flat, reference)):
+    # one ratio per multi flat, in flat order
+    ratios = [p[4] for p in reference if p[2] is not None]
+    assert config.analysis.ratios.tolist() == pytest.approx(ratios, rel=1e-12), name
+    for verdict, (_, residual, lsq, trace, _) in zip(report.per_flat, reference):
         # residuals are relative deviations already
         assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
-        assert config.analysis.ratios[k] == pytest.approx(ratio, rel=1e-12)
         if lsq is None:
             assert verdict.nu is None
             continue
@@ -300,7 +304,7 @@ def _chain(config, rtol=None):
 
 
 def test_chain_decomposes_and_forms_once(monkeypatch):
-    from veesys import core, matroid
+    from veesys import core
 
     counts = {"decompose": 0, "canonical_form": 0}
 
@@ -332,6 +336,26 @@ def test_chain_decomposes_and_forms_once(monkeypatch):
     assert counts == {"decompose": 1, "canonical_form": 1}
 
 
+def test_check_path_builds_no_flat_objects():
+    """The docs-large chain reads the decomposition's arrays: a Flat is built
+    only for display, on the first read of ``flats``."""
+    # B3 has 4-flats, which H4A1 lacks, for check_harmonic
+    vee = [catalogue.construct("H4A1", {}),
+           catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})]
+    for config in vee:
+        assert check_vee(config).is_vee_system
+        assert solve_weights(config).status != "infeasible"
+        check_harmonic(config)
+        deform.build_system(config, deform.FREE_NU)
+        deform.rigidity_test(config)
+    assert check_harmonic(vee[1])
+    planted = _planted_lines(np.random.default_rng(48), 48)
+    assert not check_vee(planted).is_vee_system
+    matroid.fingerprint(decompose(planted))
+    for config in vee + [planted]:
+        assert "flats" not in vars(config.decomposition)
+
+
 def test_cached_analysis_holds_no_tolerance():
     def configs():
         h3 = catalogue.construct("H3", {})
@@ -349,16 +373,26 @@ def test_cached_analysis_holds_no_tolerance():
 
     # DegeneratePlane reads each multi flat's stored proportionality ratio
     config = cached[0]
-    analysis = config.analysis
-    smallest = min(analysis.ratios[k] for k in analysis.decomposition.multi_flats)
+    ratios = config.analysis.ratios
+    assert len(ratios) == len(config.analysis.decomposition.multi)
+    smallest = ratios.min()
     assert _chain(config, 1.01 * smallest) == ["DegeneratePlane"] * 5
     assert "DegeneratePlane" not in _chain(config, 0.99 * smallest)
     assert _chain(config) == _chain(configs()[0])
 
+    # it names the first multi flat, in flat order, whose reference ratio
+    # falls below the tolerance
+    multi = [(labels, ratio) for labels, _, lsq, _, ratio in _reference_planes(config)
+             if lsq is not None]
+    for rtol in (1.01 * smallest, 1.01 * ratios.max()):
+        first = next(labels for labels, ratio in multi if ratio < rtol)
+        with pytest.raises(DegeneratePlane) as info:
+            verify.plane_analysis(config, rtol)
+        assert str(info.value) == f"flat members {first[0]}, {first[1]} are proportional"
+    assert verify.plane_analysis(config, 0.99 * smallest) is config.analysis
+
 
 def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
-    from veesys import verify
-
     seen = []
 
     def recording(quads, rtol=None):
