@@ -158,6 +158,11 @@ class PlaneAnalysis:
     ratios: np.ndarray  # multi flats: |u ^ v| / (|u| |v|) of the first two member duals
     max_residual: float
 
+    @property
+    def multi_nus(self):
+        """The nu of each multi flat, in ``decomposition.multi`` order, a view."""
+        return self.nus[len(self.decomposition.pair_members):]
+
 
 def canonical_form(config):
     """Compute the canonical form G of a configuration.
@@ -201,24 +206,22 @@ def analyse(config):
     form = canonical_form(config)
     P = pairing_matrix(config, form)
     decomp = config.decomposition
-    p = len(decomp.pair_members)
-    leads = np.array([members[:2] for members in decomp.multi], dtype=int).reshape(-1, 2)
-    first, second = np.concatenate([decomp.pair_members, leads]).T
+    pair_i, pair_j = decomp.pair_members.T
+    i, j = decomp.multi_leads.T
 
-    # entries (11, 12, 22) of the symmetric 2x2 restrictions; the
-    # off-diagonal entry counts twice in Frobenius products
-    g = np.stack([P[first, first], P[first, second], P[second, second]])
+    # entries (11, 12, 22) of the symmetric 2x2 restrictions to the multi
+    # flats; the off-diagonal entry counts twice in Frobenius products
+    g = np.stack([P[i, i], P[i, j], P[j, j]])
     weight = np.array([[1.0], [2.0], [1.0]])
-    i, j, g_multi, in_multi = first[p:], second[p:], g[:, p:], decomp.incidence[:, p:]
-    gp = np.stack([(in_multi * P[:, a] * P[:, b]).sum(0)
+    gp = np.stack([(decomp.multi_incidence * P[:, a] * P[:, b]).sum(0)
                    for a, b in ((i, i), (i, j), (j, j))])
-    nu_lsq = (weight * gp * g_multi).sum(0) / (weight * g_multi * g_multi).sum(0)
+    nu_lsq = (weight * gp * g).sum(0) / (weight * g * g).sum(0)
+    g11, g22 = P[pair_i, pair_i], P[pair_j, pair_j]
     residuals = np.concatenate([
-        np.abs(g[1, :p]) / np.sqrt(g[0, :p] * g[2, :p]),
-        np.sqrt((weight * (gp - nu_lsq * g_multi) ** 2).sum(0)
-                / (weight * gp * gp).sum(0)),
+        np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
+        np.sqrt((weight * (gp - nu_lsq * g) ** 2).sum(0) / (weight * gp * gp).sum(0)),
     ])
-    nus = 0.5 * np.concatenate([g[0, :p] + g[2, :p], np.diag(P) @ in_multi])
+    nus = 0.5 * np.concatenate([g11 + g22, np.diag(P) @ decomp.multi_incidence])
 
     duals = form.gram_inverse @ config.matrix
     u, v = duals[:, i], duals[:, j]

@@ -51,10 +51,9 @@ def _assemble_rows(analysis, mode):
     decomp = analysis.decomposition
     P = analysis.pairings
     pair_i, pair_j = decomp.pair_members.T
-    p = len(pair_i)
-    i, j = np.array([members[:2] for members in decomp.multi], dtype=int).reshape(-1, 2).T
+    i, j = decomp.multi_leads.T
     # coefficients of xi in X^Pi - nu X
-    weight = decomp.incidence[:, p:] - analysis.nus[p:]
+    weight = decomp.multi_incidence - analysis.multi_nus
     m11, m12, m22 = (weight * P[:, a] * P[:, b] for a, b in ((i, i), (i, j), (j, j)))
     if mode == FREE_NU:
         # proportionality to (g11, g12, g22), free factor eliminated
@@ -98,8 +97,7 @@ def build_system(config, mode=FREE_NU, rtol=None):
 
 def _is_connected_through_multi_flats(analysis):
     """Whether every covector is reached from the first through shared multi flats."""
-    decomp = analysis.decomposition
-    multi = decomp.incidence[:, len(decomp.pair_members):]
+    multi = analysis.decomposition.multi_incidence
     reached = np.arange(len(multi)) == 0
     while True:
         grown = reached | multi[:, multi[reached].any(0)].any(1)

@@ -9,7 +9,7 @@ are called pair flats, the rest multi flats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,16 +49,39 @@ class FlatDecomposition:
     Flats are numbered pair flats first, in np.triu_indices order of their
     members, then the multi flats in (size, members) order; ``pair_flats``
     and ``multi_flats`` are the two ranges of that numbering, and column k
-    of ``incidence`` marks the members of flat k.  Equality compares ``n``
-    and ``multi`` alone: in rank 3 the multi flats fix the pair flats, the
-    pairs no multi flat covers.  ``flats`` is for display and builds one
-    Flat per flat on first read; the checks read the arrays.
+    of ``incidence`` marks the members of flat k.  ``multi_incidence`` (the
+    multi-flat columns) and ``multi_leads`` (the two smallest members of
+    each multi flat) are the views of that layout the checks read.
+    Equality compares ``n`` and ``multi`` alone: in rank 3 the multi flats
+    fix the pair flats, the pairs no multi flat covers.
+
+    ``flats`` is for display and builds one Flat per flat on first read;
+    the checks read the arrays.  Passing ``flats=`` Flat objects to the
+    constructor, as ``dataclasses.replace(d, flats=...)`` does, rebuilds
+    the other fields from them instead.
     """
 
     n: int
     multi: tuple  # member tuples of the multi flats, sorted by (size, members)
     pair_members: np.ndarray = field(compare=False, repr=False)  # read-only (p, 2)
     incidence: np.ndarray = field(compare=False, repr=False)  # read-only bool n x flats
+    flats: InitVar[tuple] = None  # Flat objects to rebuild the fields from
+
+    def __post_init__(self, flats):
+        if flats is None:
+            return
+        members = [f.members for f in flats]
+        pairs = sorted(m for m in members if len(m) == 2)
+        multi = tuple(sorted((m for m in members if len(m) > 2), key=lambda m: (len(m), m)))
+        incidence = np.zeros((self.n, len(pairs) + len(multi)), dtype=bool)
+        for k, m in enumerate(pairs + list(multi)):
+            incidence[list(m), k] = True
+        pair_members = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        for shared in (pair_members, incidence):
+            shared.setflags(write=False)
+        for name, value in (("multi", multi), ("pair_members", pair_members),
+                            ("incidence", incidence)):
+            object.__setattr__(self, name, value)
 
     @property
     def pair_flats(self):
@@ -69,11 +92,29 @@ class FlatDecomposition:
         p = len(self.pair_members)
         return range(p, p + len(self.multi))
 
+    @property
+    def multi_incidence(self):
+        """The read-only n x m incidence of covectors and multi flats, a view."""
+        return self.incidence[:, len(self.pair_members):]
+
     @cached_property
-    def flats(self):
-        """Every flat as a Flat, in flat order (display only)."""
-        pairs = map(tuple, self.pair_members.tolist())
-        return tuple(map(Flat, pairs)) + tuple(map(Flat, self.multi))
+    def multi_leads(self):
+        """The two smallest members of each multi flat, a read-only (m, 2) array."""
+        leads = np.array([members[:2] for members in self.multi], dtype=int).reshape(-1, 2)
+        leads.setflags(write=False)
+        return leads
+
+
+def _display_flats(decomposition):
+    """Every flat as a Flat, in flat order (display only)."""
+    pairs = map(tuple, decomposition.pair_members.tolist())
+    return tuple(map(Flat, pairs)) + tuple(map(Flat, decomposition.multi))
+
+
+# Set after the class is made: the class body binds ``flats`` to the default
+# of the constructor argument of that name.
+FlatDecomposition.flats = cached_property(_display_flats)
+FlatDecomposition.flats.__set_name__(FlatDecomposition, "flats")
 
 
 @dataclass(frozen=True)

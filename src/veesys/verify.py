@@ -108,8 +108,7 @@ def check_vee(config, rtol=None):
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     decomp = analysis.decomposition
-    nu_function = dict(zip(map(config.sublabels, decomp.multi),
-                           analysis.nus[len(decomp.pair_members):].tolist()))
+    nu_function = dict(zip(map(config.sublabels, decomp.multi), analysis.multi_nus.tolist()))
     return VeeReport(
         is_vee_system=bool(analysis.max_residual < tol),
         max_residual=analysis.max_residual,
@@ -140,9 +139,8 @@ def solve_weights(config, rtol=None):
     decomp = analysis.decomposition
     if not decomp.multi:
         return WeightSolution("infeasible", residual=1.0)
-    p = len(decomp.pair_members)
     # Fortran order, as lstsq's rounding depends on the layout
-    M = np.asfortranarray(decomp.incidence[:, p:], dtype=float)
+    M = np.asfortranarray(decomp.multi_incidence, dtype=float)
     ones = np.ones(decomp.n)
     # one SVD: lstsq's own singular values give the rank at the absolute 1e-9
     x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
@@ -152,7 +150,7 @@ def solve_weights(config, rtol=None):
     rank = np.count_nonzero(svals > 1e-9)
     status = "underdetermined" if rank < len(decomp.multi) else "feasible"
     weights = dict(zip(map(config.sublabels, decomp.multi), x.tolist()))
-    return WeightSolution(status, weights, float(x @ analysis.nus[p:]), residual)
+    return WeightSolution(status, weights, float(x @ analysis.multi_nus), residual)
 
 
 # The six member pairs of a 4-flat in itertools.combinations order, and per
@@ -247,11 +245,11 @@ def check_extension(inner, outer, embedding, rtol=None):
     outside[emb] = False
     ratios = {}
     values = []
-    for k, members in zip(in_dec.multi_flats, in_dec.multi):
+    for members, nu in zip(in_dec.multi, in_plan.multi_nus):
         labels = inner.sublabels(members)
         # the one outer flat through the images of the first two members
         m = np.argmax(on_outer[emb[members[0]]] & on_outer[emb[members[1]]])
-        ratios[labels] = float(in_plan.nus[k] / out_plan.nus[m])
+        ratios[labels] = float(nu / out_plan.nus[m])
         if not on_outer[outside, m].any():
             values.append(ratios[labels])
 

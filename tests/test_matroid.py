@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -242,6 +243,32 @@ def test_decomposition_equality_reads_n_and_multi():
     assert decomp != matroid.FlatDecomposition(decomp.n, decomp.multi[1:], None, None)
 
 
+def test_replacing_flats_rebuilds_the_arrays():
+    """dataclasses.replace(d, flats=...) reads every other field off the
+    given Flat objects, in any order, as a decomposition with those flats."""
+    decomp = decompose(catalogue.construct("H3", {}))
+    same = dataclasses.replace(decomp, flats=decomp.flats)
+    assert same == decomp and same.flats == decomp.flats
+    assert np.array_equal(same.pair_members, decomp.pair_members)
+    assert np.array_equal(same.incidence, decomp.incidence)
+    kept = [f for f in decomp.flats if f.members != decomp.multi[-1]]
+    lost = dataclasses.replace(decomp, flats=tuple(reversed(kept)))
+    expected = _decomposition_from_flats([f.members for f in kept], decomp.n)
+    assert lost == expected and lost.flats == expected.flats
+    assert np.array_equal(lost.pair_members, expected.pair_members)
+    assert np.array_equal(lost.incidence, expected.incidence)
+    assert not lost.incidence.flags.writeable
+
+
+def test_multi_views_follow_the_flat_order():
+    decomp = decompose(catalogue.construct("H3", {}))
+    p = len(decomp.pair_members)
+    assert np.array_equal(decomp.multi_incidence, decomp.incidence[:, p:])
+    assert decomp.multi_leads.tolist() == [list(m[:2]) for m in decomp.multi]
+    assert not decomp.multi_leads.flags.writeable
+    assert "flats" not in vars(decomp)
+
+
 def test_rank_restriction():
     matrix = np.vstack([np.eye(4), np.ones((1, 4))]).T  # 4 x 5, rank 4
     config = CovectorConfiguration(matrix)
@@ -257,11 +284,13 @@ def test_rank_two_configuration_is_one_flat():
     assert [f.members for f in pair.flats] == [(0, 1)]
     assert (pair.pair_flats, pair.multi_flats, pair.multi) == (range(1), range(1, 1), ())
     assert pair.pair_members.tolist() == [[0, 1]]
+    assert pair.multi_incidence.shape == (2, 0) and pair.multi_leads.shape == (0, 2)
     angles = np.linspace(0, np.pi, 5)[:-1]
     line = decompose(CovectorConfiguration(np.array([np.cos(angles), np.sin(angles)])))
     assert [f.members for f in line.flats] == [(0, 1, 2, 3)]
     assert (line.pair_flats, line.multi_flats, line.multi) == (range(0), range(1), ((0, 1, 2, 3),))
     assert line.pair_members.shape == (0, 2)
+    assert line.multi_leads.tolist() == [[0, 1]]
 
 
 def test_decompose_matches_reference_on_catalogue_grids():

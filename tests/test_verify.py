@@ -203,6 +203,8 @@ def _assert_planes_match_reference(name, config, vee):
     # one ratio per multi flat, in flat order
     ratios = [p[4] for p in reference if p[2] is not None]
     assert config.analysis.ratios.tolist() == pytest.approx(ratios, rel=1e-12), name
+    traces = [p[3] for p in reference if p[2] is not None]
+    assert config.analysis.multi_nus.tolist() == pytest.approx(traces, rel=1e-12), name
     for verdict, (_, residual, lsq, trace, _) in zip(report.per_flat, reference):
         # residuals are relative deviations already
         assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
