@@ -33,10 +33,11 @@ from . import matroid
 from .core import CovectorConfiguration
 from .errors import InadmissibleParameters, UnknownEntry, VeesysError
 from .expressions import evaluate
-from .tolerances import resolve
+from .tolerances import (DEGENERATION_OFFSETS, LIMIT_NU_TOL, LIMIT_VANISH_RTOL,
+                         MIN_VANISHING_EXPONENT, ORACLE_RTOL, SURVIVOR_RESIDUAL_CAP,
+                         SURVIVOR_RESIDUAL_DECAY, SURVIVOR_RESIDUAL_FLOOR, resolve)
 from .verify import check_extension, check_vee
 
-ORACLE_RTOL = 1e-8  # relative tolerance for gram/nu comparisons against oracles
 # the one line the checksum leaves out; it must hold nothing but the checksum
 CHECKSUM_LINE = re.compile(r'"checksum": "[^"]*",?')
 
@@ -69,9 +70,10 @@ class CatalogueEntry:
         return values
 
     def check_admissible(self, params):
-        missing = [p for p in self.parameters if p not in params]
-        if missing:
-            raise InadmissibleParameters(self.id, f"missing parameters {missing}", params)
+        for kind, names in (("missing", [p for p in self.parameters if p not in params]),
+                            ("unknown", [p for p in params if p not in self.parameters])):
+            if names:
+                raise InadmissibleParameters(self.id, f"{kind} parameters {names}", params)
         if not evaluate(self.admissible, dict(params)):
             raise InadmissibleParameters(self.id, self.admissible, params)
 
@@ -120,10 +122,14 @@ class RelationEntry:
 @dataclass
 class CheckReport:
     subject: str
-    passed: bool
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self):
+        """The verdict: the check passed when it recorded no failure."""
+        return not self.failures
 
 
 def _data_text():
@@ -245,20 +251,19 @@ def construct(entry_id, params=None):
 def verify_entry(entry_id, params=None, rtol=None):
     """Verify one entry against its stored oracle data.
 
-    Checks: plane conditions pass; Gram matrix matches (relative 1e-8 on the
-    largest entry); flat lists match exactly as label sets; nu-values match
-    the stored formulas (relative 1e-8); trace formula agrees with the
-    least-squares proportionality factor.
+    Checks, in this order: the configuration constructs; its Gram matrix
+    matches the stored one (relative ORACLE_RTOL on the largest entry); the
+    plane conditions pass at ``rtol``; the flat lists match exactly as label
+    sets; the nu-values (trace formula) match the stored formulas (relative
+    ORACLE_RTOL).
     """
     ent = entry(entry_id)
     params = dict(params or {})
-    report = CheckReport(subject=f"{entry_id} {params}" if params else entry_id,
-                         passed=True)
+    report = CheckReport(subject=f"{entry_id} {params}" if params else entry_id)
     report.notes.extend(ent.notes)
     try:
         config = construct(entry_id, params)
     except (VeesysError, ValueError) as exc:
-        report.passed = False
         report.failures.append(f"construction failed: {exc}")
         return report
 
@@ -268,12 +273,10 @@ def verify_entry(entry_id, params=None, rtol=None):
     gram_err = np.abs(vee.form.gram - expected_gram).max() / scale
     report.details["gramError"] = float(gram_err)
     if gram_err > ORACLE_RTOL:
-        report.passed = False
         report.failures.append(f"gram mismatch, relative error {gram_err:.3e}")
 
     report.details["maxResidual"] = vee.max_residual
     if not vee.is_vee_system:
-        report.passed = False
         report.failures.append(
             f"plane conditions fail, max residual {vee.max_residual:.3e}"
         )
@@ -285,7 +288,6 @@ def verify_entry(entry_id, params=None, rtol=None):
     }
     oracle_flats = ent.flat_label_sets()
     if computed_flats != oracle_flats:
-        report.passed = False
         missing = [sorted(s, key=int) for s in oracle_flats - computed_flats]
         extra = [sorted(s, key=int) for s in computed_flats - oracle_flats]
         report.failures.append(f"flat lists differ: missing {missing}, extra {extra}")
@@ -297,7 +299,6 @@ def verify_entry(entry_id, params=None, rtol=None):
         if got is None:
             continue  # flat mismatch already reported
         if abs(got - expected) > ORACLE_RTOL * max(1.0, abs(expected)):
-            report.passed = False
             report.failures.append(
                 f"nu mismatch on flat {members}: computed {got!r}, oracle {expected!r}"
             )
@@ -307,24 +308,14 @@ def verify_entry(entry_id, params=None, rtol=None):
     return report
 
 
-def _fingerprints_match(config_a, config_b):
-    fa = matroid.fingerprint(config_a.analysis.decomposition)
-    fb = matroid.fingerprint(config_b.analysis.decomposition)
-    return (
-        fa.flat_size_multiset == fb.flat_size_multiset
-        and fa.canonical_profile == fb.canonical_profile
-    )
-
-
 def _verify_extension(rel, rtol):
-    report = CheckReport(subject=rel.description, passed=True)
+    report = CheckReport(subject=rel.description)
     if rel.note:
         report.notes.append(rel.note)
     outer = construct(rel.target, rel.target_params)
     added = set(rel.covectors)
     unknown = added - set(outer.labels)
     if unknown:
-        report.passed = False
         report.failures.append(f"added labels {sorted(unknown)} not in {rel.target}")
         return report
     inner_indices = [i for i, lab in enumerate(outer.labels) if lab not in added]
@@ -336,22 +327,18 @@ def _verify_extension(rel, rtol):
         "/".join(k): v for k, v in sorted(ext.per_flat_ratios.items())
     }
     if not ext.is_extension:
-        report.passed = False
         report.failures.append("inner covectors not proportional to outer images")
     if ext.nu_ratio is None:
-        report.passed = False
         report.failures.append(
             f"nu-ratios not common: {sorted(set(round(v, 6) for v in ext.per_flat_ratios.values()))}"
         )
-    elif rel.nu_ratio is not None and abs(ext.nu_ratio - rel.nu_ratio) > 1e-8 * rel.nu_ratio:
-        report.passed = False
+    elif rel.nu_ratio is not None and abs(ext.nu_ratio - rel.nu_ratio) > ORACLE_RTOL * rel.nu_ratio:
         report.failures.append(
             f"nu-ratio {ext.nu_ratio!r} differs from published {rel.nu_ratio!r}"
         )
 
     reference = construct(rel.source, rel.source_params)
     if reference.n != inner.n:
-        report.passed = False
         report.failures.append(
             f"sub-configuration has {inner.n} covectors, {rel.source} has {reference.n}"
         )
@@ -361,13 +348,11 @@ def _verify_extension(rel, rtol):
         )
         report.details["matroidVerdict"] = verdict
         if verdict == matroid.NO:
-            report.passed = False
             report.failures.append(
                 f"sub-configuration matroid differs from {rel.source}"
             )
     inner_vee = check_vee(inner, rtol=rtol)
     if not inner_vee.is_vee_system:
-        report.passed = False
         report.failures.append(
             f"sub-configuration fails plane conditions ({inner_vee.max_residual:.3e})"
         )
@@ -380,8 +365,8 @@ def _source_at(rel, eps):
     return evaluate(rel.scale, {"eps": eps}) * ent.matrix_at(params, check=False)
 
 
-def _verify_degeneration(rel, rtol, epsilons=(1e-3, 1e-4)):
-    report = CheckReport(subject=rel.description, passed=True)
+def _verify_degeneration(rel, rtol):
+    report = CheckReport(subject=rel.description)
     if rel.note:
         report.notes.append(rel.note)
     if tuple(rel.printed_covectors) != tuple(rel.covectors):
@@ -394,81 +379,73 @@ def _verify_degeneration(rel, rtol, epsilons=(1e-3, 1e-4)):
     vanish_idx = [labels.index(c) for c in rel.covectors]
     survive_idx = [i for i in range(ent.n) if labels[i] not in rel.covectors]
     target = construct(rel.target, rel.target_params)
-    target_vee = check_vee(target, rtol=rtol)
-    target_nus = sorted(target_vee.nu_function.values())
+    target_nus = sorted(check_vee(target, rtol=rtol).nu_function.values())
+    target_fingerprint = matroid.fingerprint(target.decomposition)
+
+    def survivors_at(eps):
+        """The source matrix at eps, the check_vee report of its surviving
+        covectors, whether their matroid matches the target's, and their
+        sorted nu-values."""
+        A = _source_at(rel, eps)
+        survivors = CovectorConfiguration(A[:, survive_idx],
+                                          tuple(labels[i] for i in survive_idx))
+        vee = check_vee(survivors, rtol=rtol)
+        same = matroid.fingerprint(survivors.decomposition) == target_fingerprint
+        return A, vee, same, sorted(vee.nu_function.values())
 
     # finite-offset checks: vanishing-norm decay and survivor residual decay
     decay_norms = []
     residuals = []
     nu_errors = []
-    for eps in sorted(epsilons, reverse=True):
-        A = _source_at(rel, eps)
+    large, small = DEGENERATION_OFFSETS
+    for eps in (large, small):
+        A, vee, same, nus = survivors_at(eps)
         norms = np.linalg.norm(A, axis=0)
-        rel_norms = norms / norms.max()
-        decay_norms.append(rel_norms[vanish_idx].max())
-        survivors = CovectorConfiguration(A[:, survive_idx],
-                                          tuple(labels[i] for i in survive_idx))
-        vee = check_vee(survivors, rtol=rtol)
+        decay_norms.append((norms / norms.max())[vanish_idx].max())
         residuals.append(vee.max_residual)
-        if not _fingerprints_match(survivors, target):
-            report.passed = False
+        if not same:
             report.failures.append(
                 f"survivor matroid at eps={eps} differs from {rel.target}"
             )
-        nus = sorted(vee.nu_function.values())
         if len(nus) == len(target_nus):
             nu_errors.append(max(abs(a - b) for a, b in zip(nus, target_nus)))
         else:
-            report.passed = False
             report.failures.append("survivor flat structure differs from target")
 
-    ratio = math.log(decay_norms[0] / decay_norms[1]) / math.log(
-        max(epsilons) / min(epsilons)
-    )
+    ratio = math.log(decay_norms[0] / decay_norms[1]) / math.log(large / small)
     report.details["vanishingNormExponent"] = ratio
     report.details["survivorResiduals"] = residuals
     report.details["nuErrors"] = nu_errors
-    if ratio < 0.45:
-        report.passed = False
+    if ratio < MIN_VANISHING_EXPONENT:
         report.failures.append(f"vanishing norms decay too slowly (exponent {ratio:.3f})")
-    if residuals[1] > 1e-2 or not (
-        residuals[1] < 1e-9 or residuals[1] < residuals[0] / 3
+    if residuals[1] > SURVIVOR_RESIDUAL_CAP or not (
+        residuals[1] < SURVIVOR_RESIDUAL_FLOOR
+        or residuals[1] < residuals[0] / SURVIVOR_RESIDUAL_DECAY
     ):
-        report.passed = False
         report.failures.append(
             f"survivor residuals do not vanish in the limit: {residuals}"
         )
-    if nu_errors and nu_errors[-1] > 1e-6 and not rel.exact_limit:
-        report.passed = False
+    if nu_errors and nu_errors[-1] > LIMIT_NU_TOL and not rel.exact_limit:
         report.failures.append(f"nu-values do not approach target: {nu_errors}")
 
     # exact limit, when the path reaches it inside the parameter domain
     if rel.exact_limit:
-        A = _source_at(rel, 0.0)
-        survivors = CovectorConfiguration(A[:, survive_idx],
-                                          tuple(labels[i] for i in survive_idx))
+        A, vee, same, nus = survivors_at(0.0)
         vanished = np.linalg.norm(A[:, vanish_idx], axis=0).max()
-        # sqrt-type paths leave O(sqrt(machine eps)) at the float limit point
-        if vanished > 1e-7 * np.linalg.norm(A):
-            report.passed = False
+        if vanished > LIMIT_VANISH_RTOL * np.linalg.norm(A):
             report.failures.append(
                 f"covectors {rel.covectors} do not vanish at the limit"
             )
-        vee = check_vee(survivors, rtol=rtol)
         report.details["limitResidual"] = vee.max_residual
         if not vee.is_vee_system:
-            report.passed = False
             report.failures.append(
                 f"limit configuration fails plane conditions ({vee.max_residual:.3e})"
             )
-        if not _fingerprints_match(survivors, target):
-            report.passed = False
+        if not same:
             report.failures.append(f"limit matroid differs from {rel.target}")
-        nus = sorted(vee.nu_function.values())
         if len(nus) != len(target_nus) or any(
             abs(a - b) > ORACLE_RTOL for a, b in zip(nus, target_nus)
         ):
-            report.passed = False
             report.failures.append(
                 f"limit nu-values {nus} differ from target {target_nus}"
             )

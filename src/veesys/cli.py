@@ -21,7 +21,7 @@ import click
 from . import __version__, catalogue, deform, io, matroid, verify
 from .errors import VeesysError
 from .projective import load_script, run_reconstruction, to_projective
-from .tolerances import resolve
+from .tolerances import RECONSTRUCTION_TOL, resolve
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -291,7 +291,7 @@ def cmd_reconstruct(rtol, name, branch, out):
         worst = max(worst, err)
         report.add(label, f"angularError={err:.3e}", indent=1)
     report.add("maxAngularError", f"{worst:.3e}")
-    ok = worst < 1e-8
+    ok = worst < RECONSTRUCTION_TOL
     report.add("matchesReference", ok)
     report.write(out)
     sys.exit(PASS if ok else FAIL)

@@ -19,13 +19,20 @@ import numpy as np
 
 from . import matroid
 from .errors import SingularForm
-from .tolerances import DEFAULT_RTOL
+from .tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 
 
 def _as_readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def max_minors(a, b):
+    """The largest |2x2 minor| of each column pair (a[:, k], b[:, k]): zero
+    exactly when the two columns are proportional."""
+    minors = a[:, None] * b[None] - b[:, None] * a[None]
+    return np.abs(minors).max((0, 1))
 
 
 @dataclass(frozen=True)
@@ -74,14 +81,9 @@ class CovectorConfiguration:
         gramlike = np.abs(unit.T @ unit)
         np.fill_diagonal(gramlike, 0.0)
         i, j = np.unravel_index(np.argmax(gramlike), gramlike.shape)
-        if i != j:  # argmax hits the diagonal only when all pairs are orthogonal
-            minors = (
-                np.outer(unit[:, i], unit[:, j]) - np.outer(unit[:, j], unit[:, i])
-            )
-            if np.abs(minors).max() < DEFAULT_RTOL:
-                raise ValueError(
-                    f"covectors {labels[i]} and {labels[j]} are proportional"
-                )
+        # argmax hits the diagonal only when all pairs are orthogonal
+        if i != j and max_minors(unit[:, i:i + 1], unit[:, j:j + 1])[0] < DEFAULT_RTOL:
+            raise ValueError(f"covectors {labels[i]} and {labels[j]} are proportional")
 
     @property
     def dimension(self):
@@ -175,14 +177,13 @@ def canonical_form(config):
     r = config.dimension
     G = A @ A.T
     G = 0.5 * (G + G.T)  # symmetrize against round-off
-    eigvals = np.linalg.eigvalsh(G)
-    smallest, largest = eigvals[0], eigvals[-1]
-    if largest <= 0 or smallest <= largest * 1e-13:
-        rank = int(np.sum(eigvals > largest * 1e-13))
-        raise SingularForm(rank, r)
+    eigvals = np.linalg.eigvalsh(G)  # ascending
+    cut = eigvals[-1] * SINGULAR_FORM_RTOL
+    if eigvals[0] <= cut:  # the rank, the count above the cut, is below r
+        raise SingularForm(int(np.sum(eigvals > cut)), r)
     G_inv = np.linalg.inv(G)
     G_inv = 0.5 * (G_inv + G_inv.T)
-    return CanonicalForm(G, G_inv, float(largest / smallest))
+    return CanonicalForm(G, G_inv, float(eigvals[-1] / eigvals[0]))
 
 
 def pairing_matrix(config, form):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAVeeSystem, Reducible, VeesysError
-from .tolerances import RANK_RTOL, resolve
+from .tolerances import RANK_RTOL, ROW_DROP_RTOL, resolve
 from .verify import plane_analysis
 
 FREE_NU = "freeNu"
@@ -77,10 +77,9 @@ def build_system(config, mode=FREE_NU, rtol=None):
         )
 
     matrix = _assemble_rows(analysis, mode)
-    # Rows that vanish to round-off carry no information; normalizing them
-    # would inject noise, so drop them before scaling rows to unit norm.
+    # drop rows that vanish to round-off before scaling rows to unit norm
     norms = np.linalg.norm(matrix, axis=1)
-    keep = norms > norms.max() * 1e-9
+    keep = norms > norms.max() * ROW_DROP_RTOL
     matrix = matrix[keep] / norms[keep, None]
 
     n = config.n

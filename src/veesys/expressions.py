@@ -13,6 +13,8 @@ import functools
 import math
 import operator
 
+from .tolerances import SQRT_CLAMP
+
 _BINOPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -30,10 +32,9 @@ _CMPOPS = {
     ast.NotEq: operator.ne,
 }
 def _sqrt(x):
-    # Limit evaluation can land a hair below zero (e.g. 2*t**2 - 1 at
-    # t = 1/sqrt(2) in floats); clamp round-off, reject real negatives.
+    # clamp round-off below zero, reject real negatives
     if x < 0.0:
-        if x > -1e-12:
+        if x > -SQRT_CLAMP:
             return 0.0
         raise ExpressionError(f"sqrt of negative value {x!r}")
     return math.sqrt(x)

@@ -42,6 +42,8 @@ def parse_document(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}")
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        _fail(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         _fail("document must be a JSON object")
     if doc.get("format", FORMAT) != FORMAT:
@@ -66,18 +68,15 @@ def parse_document(text):
                 _fail(f"field 'covectors[{j}][{i}]': expected a decimal string")
             try:
                 matrix[i, j] = float(value)
-            except ValueError:
-                _fail(f"field 'covectors[{j}][{i}]': cannot parse {value!r}")
+            except (ValueError, OverflowError):  # OverflowError: an int beyond double range
+                _fail(f"field 'covectors[{j}][{i}]': cannot parse {value!r} as a double")
     nonfinite = np.argwhere(~np.isfinite(matrix.T))  # (j, i), column by column
     if len(nonfinite):
         j, i = nonfinite[0]
         _fail(f"field 'covectors[{j}][{i}]': {columns[j][i]!r} is not finite")
 
-    labels = doc.get("labels", ())
-    if labels and (
-        not isinstance(labels, list)
-        or not all(isinstance(l, str) for l in labels)
-    ):
+    labels = doc.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         _fail("field 'labels': expected a list of strings")
 
     try:

@@ -119,8 +119,11 @@ FlatDecomposition.flats.__set_name__(FlatDecomposition, "flats")
 
 @dataclass(frozen=True)
 class MatroidFingerprint:
+    """Equality, like ``digest``, ignores the labelling: it compares the
+    flat sizes and the canonical profile, not the per-covector profile."""
+
     flat_size_multiset: tuple
-    point_profile: tuple  # per covector: sorted sizes of flats through it
+    point_profile: tuple = field(compare=False)  # per covector: sorted sizes of flats through it
     canonical_profile: tuple  # point_profile sorted lexicographically
 
     @property
@@ -323,8 +326,7 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     if d1.n != d2.n:
         raise ValueError("decompositions must have equal ground-set size")
     f1, f2 = fingerprint(d1), fingerprint(d2)
-    if (f1.flat_size_multiset != f2.flat_size_multiset
-            or f1.canonical_profile != f2.canonical_profile):
+    if f1 != f2:
         return NO
     try:
         mapping = _search_bijection(d1, d2, f1, f2, node_budget)

@@ -32,12 +32,14 @@ from .errors import (
     ScriptFormatError,
     StepDegenerate,
 )
-from .tolerances import resolve
+from .tolerances import (BASIS_SINE, BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL,
+                         DUPLICATE_SINE, INFINITE_RATIO_TOL, SIGN_COORDINATE_TOL,
+                         collinear_tol, line_tol, resolve)
 
 
 class ProjectivePoint:
     """A point of RP^2: nonzero 3-vector, unit norm, sign-normalized so the
-    first coordinate of modulus > 1e-12 is positive."""
+    first coordinate of modulus above SIGN_COORDINATE_TOL is positive."""
 
     __slots__ = ("coordinates",)
 
@@ -48,7 +50,7 @@ class ProjectivePoint:
             raise ValueError("projective point needs a nonzero vector")
         v = v / norm
         for x in v:
-            if abs(x) > 1e-12:
+            if abs(x) > SIGN_COORDINATE_TOL:
                 if x < 0:
                     v = -v
                 break
@@ -78,20 +80,19 @@ def to_projective(config):
     }
 
 
-def _line(p, q, rtol):
+def _line(p, q, cut):
     ell = np.cross(p.coordinates, q.coordinates)
     norm = np.linalg.norm(ell)
-    if norm < max(resolve(rtol), 1e-12) * 10:
+    if norm < cut:
         raise CoincidentLines("points defining a line are proportional")
     return ell / norm
 
 
 def meet(p1, p2, q1, q2, rtol=None):
     """Intersection of line(p1, p2) with line(q1, q2)."""
-    l1 = _line(p1, p2, rtol)
-    l2 = _line(q1, q2, rtol)
-    point = np.cross(l1, l2)
-    if np.linalg.norm(point) < max(resolve(rtol), 1e-12) * 10:
+    cut = line_tol(resolve(rtol))
+    point = np.cross(_line(p1, p2, cut), _line(q1, q2, cut))
+    if np.linalg.norm(point) < cut:
         raise CoincidentLines("the two lines coincide")
     return ProjectivePoint(point)
 
@@ -109,12 +110,13 @@ def cross_ratios(quads, rtol=None):
     ``quads`` has shape (R, 4, 3): R quads of nonzero 3-vectors, of any
     scale and sign.  Returns R values, as ``cross_ratio`` defines them.  On
     the common line, spanned by the unit points a, b of the first of the
-    pairs (1,2), (1,3), (1,4), (2,3) at angular error above 1e-8, the 2-d
-    determinant of two points p, q is (p x q).(a x b) / |a x b|^2.  The
+    pairs (1,2), (1,3), (1,4), (2,3) at angular error above BASIS_SINE, the
+    2-d determinant of two points p, q is (p x q).(a x b) / |a x b|^2.  The
     first failing quad raises: DuplicatePoints when two of its points have
-    angular error below 1e-12 or no basis pair exists, NotCollinear when a
-    unit point lies off the plane of a and b by more than
-    max(max(rtol, 1e-12) * 1000, 1e-8).
+    angular error below DUPLICATE_SINE or no basis pair exists,
+    NotCollinear when a unit point lies off the plane of a and b by more
+    than ``collinear_tol``.  A value whose denominator is below
+    INFINITE_RATIO_TOL times max(1, |numerator|) is math.inf.
     """
     quads = np.asarray(quads, dtype=float)
     norms = np.linalg.norm(quads, axis=2, keepdims=True)
@@ -124,14 +126,14 @@ def cross_ratios(quads, rtol=None):
     first, second = zip(*_PAIRS)
     crosses = np.cross(units[:, first], units[:, second])
     sines = np.linalg.norm(crosses, axis=2)
-    duplicate = sines < 1e-12
-    spans = sines[:, :4] > 1e-8
+    duplicate = sines < DUPLICATE_SINE
+    spans = sines[:, :4] > BASIS_SINE
     rows = np.arange(len(units))
     basis = spans.argmax(axis=1)
     normal, area = crosses[rows, basis], sines[rows, basis] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):  # quads without a basis fail
         off = np.abs(np.einsum("rpi,ri->rp", units, normal)) / np.sqrt(area)[:, None]
-    off_line = off > max(max(resolve(rtol), 1e-12) * 1000, 1e-8)
+    off_line = off > collinear_tol(resolve(rtol))
     failed = duplicate.any(axis=1) | ~spans.any(axis=1) | off_line.any(axis=1)
     if failed.any():
         r = int(failed.argmax())
@@ -146,7 +148,7 @@ def cross_ratios(quads, rtol=None):
     num, den = d13 * d24, d14 * d23
     with np.errstate(divide="ignore", invalid="ignore"):
         values = num / den
-    return np.where(np.abs(den) < 1e-14 * np.maximum(1.0, np.abs(num)),
+    return np.where(np.abs(den) < INFINITE_RATIO_TOL * np.maximum(1.0, np.abs(num)),
                     math.inf, values)
 
 
@@ -327,7 +329,7 @@ def _place_by_ratio(step, env, branch_root):
     k1 = xb * yd - xd * yb
     k2 = xa * yd - xd * ya
     denom = xa * k1 - x * k2 * xb
-    if abs(denom) < 1e-14:
+    if abs(denom) < DEGENERATE_RATIO_TOL:
         raise StepDegenerate(str(step), "ratio equation degenerate")
     s = (ya * k1 - x * k2 * yb) / denom
     return ProjectivePoint(P.coordinates + s * Q.coordinates)
@@ -348,7 +350,7 @@ def run_reconstruction(script, basis_points, branch=None, rtol=None):
     ]
     for skip in range(4):
         triple = [p.coordinates for i, p in enumerate(pts) if i != skip]
-        if abs(np.linalg.det(np.column_stack(triple))) < 1e-10:
+        if abs(np.linalg.det(np.column_stack(triple))) < BASIS_TRIPLE_DET:
             raise ValueError("basis points contain a collinear triple")
 
     env = dict(zip(script.basis_labels, pts))

@@ -22,9 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import max_minors
 from .errors import BadEmbedding, DegeneratePlane, NotMultiFlat
 from .projective import cross_ratios
-from .tolerances import resolve
+from .tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol, harmonic_tol,
+                         orthogonal_pair_tol, resolve)
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,12 @@ def solve_weights(config, rtol=None):
     # Fortran order, as lstsq's rounding depends on the layout
     M = np.asfortranarray(decomp.multi_incidence, dtype=float)
     ones = np.ones(decomp.n)
-    # one SVD: lstsq's own singular values give the rank at the absolute 1e-9
+    # one SVD: lstsq's own singular values give the rank
     x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
     residual = float(np.abs(M @ x - ones).max())
-    if residual >= 1e-9:
+    if residual >= WEIGHT_TOL:
         return WeightSolution("infeasible", residual=residual)
-    rank = np.count_nonzero(svals > 1e-9)
+    rank = np.count_nonzero(svals > WEIGHT_TOL)
     status = "underdetermined" if rank < len(decomp.multi) else "feasible"
     weights = dict(zip(map(config.sublabels, decomp.multi), x.tolist()))
     return WeightSolution(status, weights, float(x @ analysis.multi_nus), residual)
@@ -178,7 +180,7 @@ def check_harmonic(config, rtol=None):
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
     members = np.array(quads, dtype=int).reshape(-1, 4)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
-    orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < max(tol, 1e-9) * 10
+    orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < orthogonal_pair_tol(tol)
     flat_of, pair_of = np.nonzero(orthogonal)
     points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
     values = iter(cross_ratios(points, rtol=tol).tolist())
@@ -200,7 +202,7 @@ def check_harmonic(config, rtol=None):
                     labels,
                     value,
                     (config.labels[quad[a]], config.labels[quad[b]]),
-                    abs(value + 1.0) < max(tol, 1e-8) * 10,
+                    abs(value + 1.0) < harmonic_tol(tol),
                     note,
                 )
             )
@@ -230,14 +232,9 @@ def check_extension(inner, outer, embedding, rtol=None):
     if any(not (0 <= k < outer.n) for k in emb):
         raise BadEmbedding("embedding maps outside the outer configuration")
 
-    for i, k in enumerate(emb):
-        u = inner.covector(i)
-        v = outer.covector(k)
-        u = u / np.linalg.norm(u)
-        v = v / np.linalg.norm(v)
-        minors = np.outer(u, v) - np.outer(v, u)
-        if np.abs(minors).max() > max(tol, 1e-9) * 100:
-            return ExtensionReport(False, None)
+    units = [m / np.linalg.norm(m, axis=0) for m in (inner.matrix, outer.matrix[:, emb])]
+    if (max_minors(*units) > embedding_tol(tol)).any():
+        return ExtensionReport(False, None)
 
     in_plan, out_plan = plane_analysis(inner, tol), plane_analysis(outer, tol)
     in_dec, on_outer = in_plan.decomposition, out_plan.decomposition.incidence
@@ -253,7 +250,7 @@ def check_extension(inner, outer, embedding, rtol=None):
         if not on_outer[outside, m].any():
             values.append(ratios[labels])
 
-    if values and (max(values) - min(values)) < max(tol, 1e-8) * abs(values[0]) * 10:
+    if values and (max(values) - min(values)) < common_ratio_tol(tol, abs(values[0])):
         common = float(np.mean(values))
     else:
         common = None

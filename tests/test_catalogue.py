@@ -7,6 +7,7 @@ from veesys import catalogue, deform
 from veesys.catalogue import CatalogueDataError
 from veesys.errors import InadmissibleParameters, UnknownEntry, VeesysError
 from veesys.expressions import ExpressionError, evaluate
+from veesys.tolerances import SQRT_CLAMP
 
 
 EXPECTED_IDS = {
@@ -44,6 +45,25 @@ def test_inadmissible_parameters_raise():
         catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": -2})
     with pytest.raises(InadmissibleParameters):
         catalogue.construct("D3", {"t": 5, "s": 1})
+
+
+def test_unknown_parameters_raise():
+    with pytest.raises(InadmissibleParameters, match=r"unknown parameters \['zz'\]"):
+        catalogue.construct("H3", {"zz": 5})
+    with pytest.raises(InadmissibleParameters, match=r"unknown parameters \['s'\]"):
+        catalogue.construct("F3", {"t": 0.5, "s": 1})
+    # a missing parameter is named first
+    with pytest.raises(InadmissibleParameters, match=r"missing parameters \['t'\]"):
+        catalogue.construct("F3", {"s": 1})
+
+
+def test_check_report_verdict_is_its_failure_list():
+    report = catalogue.CheckReport("subject")
+    assert report.passed
+    report.failures.append("reason")
+    assert not report.passed
+    with pytest.raises(AttributeError):
+        report.passed = True
 
 
 def test_unknown_entry():
@@ -202,6 +222,14 @@ class TestExpressions:
         assert evaluate("sqrt(x)", {"x": -1e-15}) == 0.0
         with pytest.raises(ExpressionError, match="negative"):
             evaluate("sqrt(-1)")
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_sqrt_clamp_cut(self, factor):
+        if factor < 1:
+            assert evaluate("sqrt(x)", {"x": -factor * SQRT_CLAMP}) == 0.0
+        else:
+            with pytest.raises(ExpressionError, match="negative"):
+                evaluate("sqrt(x)", {"x": -factor * SQRT_CLAMP})
 
     def test_rejects_unsafe_syntax(self):
         for bad in (

@@ -68,6 +68,24 @@ def test_garbage_input_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param('{"dimension": 1, "covectors": [[%s]]}' % ("9" * 400), id="integer-beyond-double"),
+    pytest.param('{"dimension": 1, "covectors": [["1"]], "labels": 0}', id="labels-0"),
+])
+def test_bad_document_is_usage_error(runner, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_unknown_parameter_is_usage_error(runner):
+    result = runner.invoke(main, ["verify", "--catalogue", "H3", "--params", "zz=5"])
+    assert result.exit_code == 2
+    assert "unknown parameters ['zz']" in result.output
+
+
 def test_unknown_catalogue_id(runner):
     result = runner.invoke(main, ["verify", "--catalogue", "Z9"])
     assert result.exit_code == 2

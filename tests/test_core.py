@@ -11,6 +11,7 @@ from veesys import (
 )
 from veesys.core import pairing_matrix
 from veesys.errors import SingularForm
+from veesys.tolerances import SINGULAR_FORM_RTOL
 
 
 A3_GRAM = np.array([[3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
@@ -103,6 +104,20 @@ def test_singular_form_reports_rank():
         canonical_form(squashed)
     assert info.value.rank == 1
     assert canonical_form(config).condition_number == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 2), (2.0, 3)])
+def test_singular_form_cut(factor, rank):
+    """G = diag(1, 1, s^2) is singular when s^2 is at most SINGULAR_FORM_RTOL
+    times its largest eigenvalue 1; the construction still accepts it."""
+    config = CovectorConfiguration(np.diag([1.0, 1.0, math.sqrt(factor * SINGULAR_FORM_RTOL)]))
+    if rank < 3:
+        with pytest.raises(SingularForm) as info:
+            canonical_form(config)
+        assert info.value.rank == rank
+    else:
+        form = canonical_form(config)
+        assert form.condition_number == pytest.approx(1 / (factor * SINGULAR_FORM_RTOL))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -12,7 +12,7 @@ from veesys import (
     scan_family,
 )
 from veesys.errors import NotAVeeSystem, Reducible
-from veesys.tolerances import RANK_RTOL
+from veesys.tolerances import RANK_RTOL, ROW_DROP_RTOL
 
 
 def test_global_scaling_always_in_kernel():
@@ -100,3 +100,15 @@ def test_spectral_gap_is_margin_over_rank_threshold(monkeypatch):
         system = build_system(config, FREE_NU)
         assert (system.rank, system.corank) == (rank, config.n - rank), factor
         assert system.spectral_gap == pytest.approx(gap, rel=1e-6), factor
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
+def test_row_drop_cut(monkeypatch, factor, rank):
+    """A row shorter than ROW_DROP_RTOL times the longest row is dropped; a
+    longer one is scaled to unit norm like the others and adds to the rank."""
+    config = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
+    rows = np.eye(config.n)[:4] * np.array([[1.0], [1.0], [1.0], [factor * ROW_DROP_RTOL]])
+    monkeypatch.setattr(deform, "_assemble_rows", lambda analysis, mode: rows)
+    system = build_system(config, FREE_NU)
+    assert len(system.matrix) == rank
+    assert system.rank == rank

@@ -68,6 +68,24 @@ def test_document_fields():
             )
             for value in ("nan", "inf", "-inf")
         ),
+        pytest.param(
+            '{"dimension": 1, "covectors": [["1"], [%s]]}' % ("9" * 400),
+            "field 'covectors[1][0]': cannot parse",
+            id="integer-beyond-double",
+        ),
+        pytest.param(
+            '{"dimension": 1, "covectors": [[1%s]]}' % ("0" * 5000),
+            "not valid JSON",
+            id="integer-beyond-digit-limit",
+        ),
+        *(
+            pytest.param(
+                '{"dimension": 1, "covectors": [["1"]], "labels": %s}' % value,
+                "field 'labels': expected a list of strings",
+                id=f"labels-{value}",
+            )
+            for value in ("0", "false", '""', "{}", "null")
+        ),
     ],
 )
 def test_parse_diagnostics(text, fragment):

@@ -170,6 +170,15 @@ def test_fingerprint_matches_per_covector_definition():
         assert fp.flat_size_multiset == tuple(sorted(f.size for f in decomp.flats))
 
 
+def test_fingerprints_compare_up_to_relabelling():
+    config = catalogue.construct("F3", {"t": 1})
+    f1 = fingerprint(decompose(config))
+    f2 = fingerprint(decompose(config.take(list(reversed(range(config.n))))))
+    assert f1.point_profile != f2.point_profile
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert f1 != fingerprint(decompose(catalogue.construct("G3", {"t": 1})))
+
+
 def test_same_matroid_yes_on_permutation():
     config = catalogue.construct("F3", {"t": 1})
     perm = list(reversed(range(config.n)))

@@ -18,7 +18,7 @@ from veesys import (
 )
 from veesys import CovectorConfiguration, matroid
 from veesys.projective import cross_ratios
-from veesys.tolerances import resolve
+from veesys.tolerances import line_tol, resolve
 from veesys.errors import (
     BranchRequired,
     CoincidentLines,
@@ -217,6 +217,24 @@ def test_meet_basic():
 def test_meet_rejects_coincident_lines():
     with pytest.raises(CoincidentLines):
         meet(_affine(0), _affine(1), _affine(2), _affine(3))
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_meet_line_cut_follows_rtol(rtol, factor):
+    """Two points span a line, and two lines meet, when their cross product
+    is at least line_tol(rtol) long: here both cross products are sin(b)."""
+    b = math.asin(factor * line_tol(resolve(rtol)))
+    origin, near = ProjectivePoint([1, 0, 0]), ProjectivePoint([math.cos(b), math.sin(b), 0])
+    pole, far = ProjectivePoint([0, 0, 1]), ProjectivePoint([0, 1, 0])
+    if factor < 1:
+        with pytest.raises(CoincidentLines, match="points defining a line"):
+            meet(origin, near, pole, far, rtol=rtol)
+        with pytest.raises(CoincidentLines, match="the two lines coincide"):
+            meet(pole, origin, pole, near, rtol=rtol)
+    else:
+        assert meet(origin, near, pole, far, rtol=rtol).angular_error(far) < 1e-12
+        assert meet(pole, origin, pole, near, rtol=rtol).angular_error(pole) < 1e-12
 
 
 def test_projective_point_normalization():

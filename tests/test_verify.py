@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from veesys import (
 )
 from veesys.core import analyse
 from veesys.errors import BadEmbedding, DegeneratePlane, NotMultiFlat, VeesysError
+from veesys.tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol,
+                               harmonic_tol, orthogonal_pair_tol)
 from veesys.verify import FlatVerdict
 
 
@@ -407,3 +412,100 @@ def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
     records = check_harmonic(config, rtol=1e-7)
     assert records and all(r.verdict for r in records)
     assert set(seen) == {1e-7}
+
+
+def _weights_of(monkeypatch, coefficients):
+    """solve_weights on a weight system with the given n x m coefficients."""
+    n, m = coefficients.shape
+    decomposition = SimpleNamespace(n=n, multi=tuple((k,) for k in range(m)),
+                                    multi_incidence=coefficients)
+    analysis = SimpleNamespace(decomposition=decomposition, multi_nus=np.ones(m))
+    monkeypatch.setattr(verify, "plane_analysis", lambda config, rtol=None: analysis)
+    return solve_weights(CovectorConfiguration(np.eye(n)))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_weight_residual_and_rank_cuts(monkeypatch, factor):
+    """The least-squares residual decides feasibility, and the singular values
+    the rank, each against the absolute WEIGHT_TOL."""
+    # rows (1) and (1 + d): the least-squares residual is d / 2 to first order
+    d = 2 * factor * WEIGHT_TOL
+    solution = _weights_of(monkeypatch, np.array([[1.0], [1.0 + d]]))
+    assert solution.residual == pytest.approx(factor * WEIGHT_TOL, rel=1e-6)
+    assert solution.status == ("feasible" if factor < 1 else "infeasible")
+    # diag(1, s) solves exactly; its rank counts s only above the cut
+    solution = _weights_of(monkeypatch, np.diag([1.0, factor * WEIGHT_TOL]))
+    assert solution.residual < WEIGHT_TOL
+    assert solution.status == ("underdetermined" if factor < 1 else "feasible")
+
+
+def _four_flat(third, fourth):
+    """Covectors 1..4 in the plane z = 0, given as (x, y) pairs for the
+    last two, and 5 = e3: one 4-flat {1 2 3 4} and the pair flats {k 5}."""
+    columns = [(1.0, 0.0), (0.0, 1.0), third, fourth]
+    return CovectorConfiguration(np.array([[x, y, 0.0] for x, y in columns]
+                                          + [[0.0, 0.0, 1.0]]).T)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_harmonic_orthogonal_pair_cut(factor):
+    """Covectors 1 and 2 count as an orthogonal pair when their normalized
+    pairing is below orthogonal_pair_tol(rtol).  With 3 and 4 at +-45 degrees
+    and |4|^2 = 1 + e, the pairing is (e / 2) / (2 + e / 2)."""
+    cut = orthogonal_pair_tol(DEFAULT_RTOL)
+    e = 4 * factor * cut / (1 - factor * cut)
+    h = math.sqrt(0.5)
+    config = _four_flat((h, h), (h * math.sqrt(1 + e), -h * math.sqrt(1 + e)))
+    P = config.analysis.pairings
+    assert abs(P[0, 1]) / math.sqrt(P[0, 0] * P[1, 1]) == pytest.approx(factor * cut, rel=1e-6)
+    pairs = {r.orthogonal_pair for r in check_harmonic(config)}
+    assert (("1", "2") in pairs) == (factor < 1)
+    assert ("3", "4") in pairs
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_harmonic_ratio_cut(factor):
+    """A quad is harmonic when its cross-ratio is within harmonic_tol(rtol)
+    of -1.  With 3 at 45 degrees and 4 at -phi, scaled so that 1 and 2 stay
+    orthogonal, the cross-ratio (3, 4; 1, 2) is -1 / tan(phi)."""
+    d = factor * harmonic_tol(DEFAULT_RTOL)
+    phi = math.atan(1 / (1 - d))
+    scale = 1 / math.sqrt(math.sin(2 * phi))  # |4|^2 sin(2 phi) = |3|^2 sin(90 degrees)
+    h = math.sqrt(0.5)
+    config = _four_flat((h, h), (scale * math.cos(phi), -scale * math.sin(phi)))
+    [record] = [r for r in check_harmonic(config) if r.orthogonal_pair == ("1", "2")]
+    assert record.cross_ratio + 1 == pytest.approx(d, rel=1e-6)
+    assert record.verdict == (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_extension_embedding_cut(factor):
+    """An inner covector is proportional to its outer image when their unit
+    2x2 minors stay within embedding_tol(rtol); here the largest is sin(a)."""
+    columns = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]],
+                       dtype=float).T
+    outer = CovectorConfiguration(columns)
+    a = math.asin(factor * embedding_tol(DEFAULT_RTOL))
+    columns[:, 0] = (math.cos(a), math.sin(a), 0.0)
+    inner = CovectorConfiguration(columns)
+    assert check_extension(inner, outer, range(outer.n)).is_extension == (factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_extension_common_ratio_cut(factor):
+    """The nu-ratios of an embedding are common when their spread is below
+    common_ratio_tol(rtol, |first ratio|).  Scaling one covector of A3 by
+    1 + e spreads the ratios of the identity embedding linearly in e."""
+    outer = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
+
+    def extension(e):
+        inner = outer.scaled([1.0 + e] + [1.0] * (outer.n - 1))
+        report = check_extension(inner, outer, range(outer.n))
+        ratios = list(report.per_flat_ratios.values())
+        return report, max(ratios) - min(ratios), abs(ratios[0])
+
+    _, spread, first = extension(1e-4)
+    report, spread, first = extension(
+        1e-4 * factor * common_ratio_tol(DEFAULT_RTOL, first) / spread)
+    assert spread == pytest.approx(factor * common_ratio_tol(DEFAULT_RTOL, first), rel=1e-3)
+    assert (report.nu_ratio is not None) == (factor < 1)
