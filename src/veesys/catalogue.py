@@ -8,8 +8,10 @@ Matrices are stored row-wise as arithmetic expressions in the entry's
 parameters and constants (evaluated by ``veesys.expressions``).  Each entry
 also records its expected Gram matrix, the rank-2 flats and the nu-values
 as independent oracles.  Known misprints in the published source tables are
-corrected in the data; every correction carries a note.  Auxiliary
-configurations may carry a ``note``, which the loader ignores.
+corrected in the data; every correction carries a note.  Each JSON record
+becomes its dataclass (CatalogueEntry, RelationEntry, AuxiliaryEntry) by
+field name; the dataclass declares each field's default and conversion, and
+a missing or unknown field fails the load with CatalogueDataError.
 
 The file keeps one matrix row, Gram row, flat record, grid point or
 relation path per line, so that a change reads line by line.  Its
@@ -23,15 +25,16 @@ import itertools
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
 
 from . import matroid
 from .core import CovectorConfiguration
-from .errors import InadmissibleParameters, UnknownEntry, VeesysError
+from .errors import InadmissibleParameters, InvalidConfiguration, UnknownEntry, VeesysError
 from .expressions import evaluate
 from .tolerances import (DEGENERATION_OFFSETS, LIMIT_NU_TOL, LIMIT_VANISH_RTOL,
                          MIN_VANISHING_EXPONENT, ORACLE_RTOL, SURVIVOR_RESIDUAL_CAP,
@@ -46,18 +49,37 @@ class CatalogueDataError(VeesysError):
     pass
 
 
-@dataclass(frozen=True)
+def _set(record, **values):
+    """Store converted field values on a frozen record."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
+def _labels(labels):
+    return tuple(map(str, labels))
+
+
+@dataclass(frozen=True, kw_only=True)
 class CatalogueEntry:
+    """One family, built from its JSON record by field name.  Flat records
+    keep their JSON member labels; readers convert them."""
+
     id: str
-    name: str
-    parameters: tuple
-    admissible: str  # boolean expression in the parameters ("True" if free)
-    default_grid: tuple  # parameter dicts
-    constants: dict  # name -> expression (may use parameters)
+    name: str = None  # the id when absent
+    parameters: tuple = ()
+    admissible: str = "True"  # boolean expression in the parameters
+    default_grid: tuple = ({},)  # parameter dicts
+    constants: dict = field(default_factory=dict)  # name -> expression (may use parameters)
     matrix: tuple  # r rows of n expression strings
     gram: tuple  # r rows of r expression strings
-    flats: tuple  # records {"members": [labels], "nu": expression or None}
+    flats: tuple  # records {"members": [labels], "nu": expression, when a multi flat}
     notes: tuple = ()
+
+    def __post_init__(self):
+        _set(self, name=self.name or self.id, parameters=tuple(self.parameters),
+             default_grid=tuple(self.default_grid), matrix=tuple(map(tuple, self.matrix)),
+             gram=tuple(map(tuple, self.gram)), flats=tuple(self.flats),
+             notes=tuple(self.notes))
 
     @property
     def n(self):
@@ -80,43 +102,61 @@ class CatalogueEntry:
     def matrix_at(self, params, check=True):
         if check:
             self.check_admissible(params)
-        names = self.names(params)
-        return np.array(
-            [[evaluate(e, names) for e in row] for row in self.matrix]
-        )
+        return _evaluated(self.matrix, self.names(params))
 
     def gram_at(self, params):
-        names = self.names(params)
-        return np.array([[evaluate(e, names) for e in row] for row in self.gram])
-
-    def flat_label_sets(self):
-        return set(frozenset(str(m) for m in f["members"]) for f in self.flats)
+        return _evaluated(self.gram, self.names(params))
 
     def nu_by_members(self, params):
-        names = self.names(params)
-        return {
-            tuple(str(m) for m in f["members"]): evaluate(f["nu"], names)
-            for f in self.flats
-            if f.get("nu") is not None
-        }
+        return _nus(self.flats, self.names(params))
 
 
-@dataclass(frozen=True)
+def _evaluated(rows, names):
+    return np.array([[evaluate(e, names) for e in row] for row in rows])
+
+
+def _nus(flats, names):
+    """The oracle nu of each multi flat, keyed by its labels in print order."""
+    return {_labels(f["members"]): evaluate(f["nu"], names)
+            for f in flats if f.get("nu") is not None}
+
+
+@dataclass(frozen=True, kw_only=True)
 class RelationEntry:
     kind: str  # "extension" | "degeneration"
     description: str
     source: str
-    source_params: dict
+    source_params: dict = field(default_factory=dict)
     target: str
-    target_params: dict
+    target_params: dict = field(default_factory=dict)
     covectors: tuple  # added (extension) or vanishing (degeneration) labels
-    printed_covectors: tuple  # as published, when it differs
-    path: dict = None  # degenerations: parameter expressions in eps
+    printed_covectors: tuple = None  # as published; the covectors when absent
+    path: dict = None  # degenerations: parameter -> expression in eps, or a number
     scale: str = "1"  # overall factor applied along the path
     exact_limit: bool = False
     flagged: bool = False
     note: str = ""
     nu_ratio: float = None  # expected common nu-ratio, when published
+
+    def __post_init__(self):
+        covectors = _labels(self.covectors)
+        printed = self.printed_covectors
+        _set(self, covectors=covectors,
+             printed_covectors=covectors if printed is None else _labels(printed))
+
+
+@dataclass(frozen=True, kw_only=True)
+class AuxiliaryEntry:
+    """A reference configuration that is not a catalogue family."""
+
+    id: str
+    matrix: tuple  # r rows of n numbers
+    note: str = ""
+
+
+# the loaded data: entries and auxiliary records by id, in file order, the
+# relation rows, and the verified SHA-256 of the data
+_Catalogue = namedtuple("_Catalogue", "entries auxiliary relations checksum")
 
 
 @dataclass
@@ -148,6 +188,17 @@ def data_checksum(text=None):
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+def _records(cls, data, section):
+    """The records of one section of the data, each built by field name."""
+    records = []
+    for index, raw in enumerate(data.get(section, ())):
+        try:
+            records.append(cls(**raw))
+        except TypeError as exc:  # a missing or unknown field, or not an object
+            raise CatalogueDataError(f"catalogue record {section}[{index}]: {exc}") from None
+    return records
+
+
 @lru_cache(maxsize=1)
 def _load():
     text = _data_text()
@@ -167,85 +218,56 @@ def _load():
         raise CatalogueDataError(
             f"catalogue data checksum mismatch: recorded {recorded}, actual {actual}"
         )
-
-    entries = {}
-    for raw in data["entries"]:
-        entry = CatalogueEntry(
-            id=raw["id"],
-            name=raw.get("name", raw["id"]),
-            parameters=tuple(raw.get("parameters", ())),
-            admissible=str(raw.get("admissible", "True")),
-            default_grid=tuple(raw.get("default_grid", ({},))),
-            constants=dict(raw.get("constants", {})),
-            matrix=tuple(tuple(row) for row in raw["matrix"]),
-            gram=tuple(tuple(row) for row in raw["gram"]),
-            flats=tuple(raw["flats"]),
-            notes=tuple(raw.get("notes", ())),
-        )
-        entries[entry.id] = entry
-
-    auxiliary = {}
-    for raw in data.get("auxiliary", []):
-        auxiliary[raw["id"]] = np.array(raw["matrix"], dtype=float)
-
-    relations = []
-    for raw in data.get("relations", []):
-        relations.append(
-            RelationEntry(
-                kind=raw["kind"],
-                description=raw["description"],
-                source=raw["source"],
-                source_params=dict(raw.get("source_params", {})),
-                target=raw["target"],
-                target_params=dict(raw.get("target_params", {})),
-                covectors=tuple(str(c) for c in raw["covectors"]),
-                printed_covectors=tuple(
-                    str(c) for c in raw.get("printed_covectors", raw["covectors"])
-                ),
-                path={k: str(v) for k, v in raw.get("path", {}).items()} or None,
-                scale=str(raw.get("scale", "1")),
-                exact_limit=bool(raw.get("exact_limit", False)),
-                flagged=bool(raw.get("flagged", False)),
-                note=raw.get("note", ""),
-                nu_ratio=raw.get("nu_ratio"),
-            )
-        )
-    return entries, auxiliary, relations, actual
+    return _Catalogue(
+        entries={e.id: e for e in _records(CatalogueEntry, data, "entries")},
+        auxiliary={a.id: a for a in _records(AuxiliaryEntry, data, "auxiliary")},
+        relations=_records(RelationEntry, data, "relations"),
+        checksum=actual,
+    )
 
 
 def checksum():
     """SHA-256 of the catalogue data, the digest verified when it was loaded."""
-    return _load()[3]
+    return _load().checksum
 
 
 def ids():
-    return list(_load()[0])
+    return list(_load().entries)
 
 
 def entry(entry_id):
-    entries = _load()[0]
+    entries = _load().entries
     if entry_id not in entries:
         raise UnknownEntry(f"unknown catalogue id {entry_id!r}; known: {sorted(entries)}")
     return entries[entry_id]
 
 
 def relations(kind=None):
-    rels = _load()[2]
-    return [r for r in rels if kind is None or r.kind == kind]
+    return [r for r in _load().relations if kind is None or r.kind == kind]
 
 
 def auxiliary_configuration(aux_id):
-    aux = _load()[1]
+    aux = _load().auxiliary
     if aux_id not in aux:
         raise UnknownEntry(f"unknown auxiliary configuration {aux_id!r}")
-    return CovectorConfiguration(aux[aux_id])
+    return CovectorConfiguration(aux[aux_id].matrix)
 
 
 def construct(entry_id, params=None):
-    """Build the configuration of a catalogue entry at given parameters."""
+    """Build the configuration of a catalogue entry at given parameters.
+
+    Parameters outside the family's predicate raise InadmissibleParameters;
+    admissible ones whose values give no valid configuration (a zero,
+    proportional or non-spanning covector, or an expression that overflows)
+    raise InvalidConfiguration.
+    """
     ent = entry(entry_id)
     params = dict(params or {})
-    return CovectorConfiguration(ent.matrix_at(params))
+    try:
+        return CovectorConfiguration(ent.matrix_at(params))
+    except ValueError as exc:
+        raise InvalidConfiguration(
+            f"{entry_id}: parameters {params} give no valid configuration: {exc}") from None
 
 
 def verify_entry(entry_id, params=None, rtol=None):
@@ -267,8 +289,9 @@ def verify_entry(entry_id, params=None, rtol=None):
         report.failures.append(f"construction failed: {exc}")
         return report
 
+    names = ent.names(params)  # the oracles share one evaluation of the constants
     vee = check_vee(config, rtol=rtol)
-    expected_gram = ent.gram_at(params)
+    expected_gram = _evaluated(ent.gram, names)
     scale = np.abs(expected_gram).max()
     gram_err = np.abs(vee.form.gram - expected_gram).max() / scale
     report.details["gramError"] = float(gram_err)
@@ -286,14 +309,13 @@ def verify_entry(entry_id, params=None, rtol=None):
         frozenset(config.sublabels(members))
         for members in itertools.chain(decomp.pair_members.tolist(), decomp.multi)
     }
-    oracle_flats = ent.flat_label_sets()
+    oracle_flats = {frozenset(_labels(f["members"])) for f in ent.flats}
     if computed_flats != oracle_flats:
         missing = [sorted(s, key=int) for s in oracle_flats - computed_flats]
         extra = [sorted(s, key=int) for s in computed_flats - oracle_flats]
         report.failures.append(f"flat lists differ: missing {missing}, extra {extra}")
 
-    oracle_nu = ent.nu_by_members(params)
-    for members, expected in oracle_nu.items():
+    for members, expected in _nus(ent.flats, names).items():
         got = vee.nu_function.get(tuple(sorted(members, key=int)))
         # nu_function keys are sorted member tuples; oracle keys keep print order
         if got is None:
@@ -343,9 +365,7 @@ def _verify_extension(rel, rtol):
             f"sub-configuration has {inner.n} covectors, {rel.source} has {reference.n}"
         )
     else:
-        verdict = matroid.same_matroid(
-            inner.analysis.decomposition, matroid.decompose(reference)
-        )
+        verdict = matroid.same_matroid(inner.decomposition, reference.decomposition)
         report.details["matroidVerdict"] = verdict
         if verdict == matroid.NO:
             report.failures.append(
@@ -369,7 +389,7 @@ def _verify_degeneration(rel, rtol):
     report = CheckReport(subject=rel.description)
     if rel.note:
         report.notes.append(rel.note)
-    if tuple(rel.printed_covectors) != tuple(rel.covectors):
+    if rel.printed_covectors != rel.covectors:
         report.notes.append(
             f"published vanishing set {sorted(rel.printed_covectors, key=int)} "
             f"corrected to {sorted(rel.covectors, key=int)}"
@@ -380,18 +400,19 @@ def _verify_degeneration(rel, rtol):
     survive_idx = [i for i in range(ent.n) if labels[i] not in rel.covectors]
     target = construct(rel.target, rel.target_params)
     target_nus = sorted(check_vee(target, rtol=rtol).nu_function.values())
-    target_fingerprint = matroid.fingerprint(target.decomposition)
 
     def survivors_at(eps):
         """The source matrix at eps, the check_vee report of its surviving
-        covectors, whether their matroid matches the target's, and their
-        sorted nu-values."""
+        covectors, whether same_matroid does not rule out the target's
+        matroid for them (its verdict is recorded), and their sorted
+        nu-values."""
         A = _source_at(rel, eps)
         survivors = CovectorConfiguration(A[:, survive_idx],
                                           tuple(labels[i] for i in survive_idx))
         vee = check_vee(survivors, rtol=rtol)
-        same = matroid.fingerprint(survivors.decomposition) == target_fingerprint
-        return A, vee, same, sorted(vee.nu_function.values())
+        verdict = matroid.same_matroid(survivors.decomposition, target.decomposition)
+        report.details["matroidVerdict"] = verdict
+        return A, vee, verdict != matroid.NO, sorted(vee.nu_function.values())
 
     # finite-offset checks: vanishing-norm decay and survivor residual decay
     decay_norms = []
@@ -462,26 +483,20 @@ def verify_relation(rel, rtol=None):
     raise ValueError(f"unknown relation kind {rel.kind!r}")
 
 
-# Shipped reconstruction scripts: script name -> (config source, basis labels).
-# "entry:ID" constructs a catalogue entry (isolated ones need no parameters);
-# "aux:ID" loads an auxiliary reference configuration.
+# Shipped reconstruction scripts: script name -> (reference configuration
+# builder, basis labels).
 SCRIPT_REFERENCES = {
-    "a3": ("entry:A3", {"c1": 1, "c2": 1, "c3": 1}, ("1", "2", "5", "6")),
-    "b3": ("aux:B3-roots", {}, ("1", "2", "3", "4")),
-    "h3": ("entry:H3", {}, ("4", "5", "6", "7")),
-    "h4a1": ("entry:H4A1", {}, ("6", "25", "27", "30")),
+    "a3": (partial(construct, "A3", {"c1": 1, "c2": 1, "c3": 1}), ("1", "2", "5", "6")),
+    "b3": (partial(auxiliary_configuration, "B3-roots"), ("1", "2", "3", "4")),
+    "h3": (partial(construct, "H3"), ("4", "5", "6", "7")),
+    "h4a1": (partial(construct, "H4A1"), ("6", "25", "27", "30")),
 }
 
 
 def script_reference(name):
     """The reference configuration and basis labels for a shipped script."""
-    source, params, basis = SCRIPT_REFERENCES[name]
-    kind, _, ident = source.partition(":")
-    if kind == "entry":
-        config = construct(ident, params)
-    else:
-        config = auxiliary_configuration(ident)
-    return config, basis
+    build, basis = SCRIPT_REFERENCES[name]
+    return build(), basis
 
 
 def script_path(name):

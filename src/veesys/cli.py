@@ -237,8 +237,8 @@ def cmd_harmonic(rtol, input, catalogue_id, params_text, out):
 def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag, out):
     """Corank analysis of the linearised deformation system."""
     if grid_flag:
-        if catalogue_id is None:
-            raise click.UsageError("--grid requires --catalogue")
+        if catalogue_id is None or input is not None or params_text:
+            raise click.UsageError("--grid takes --catalogue only, no INPUT or --params")
         report = Report("deform", f"catalogue:{catalogue_id}(grid)")
         rows = deform.scan_family(catalogue_id, rtol=rtol)
         report.add("mode", "both")
@@ -349,9 +349,7 @@ def catalogue_verify_all(rtol, strict, out):
     failures = 0
     report.section("entries")
     for ident in catalogue.ids():
-        ent = catalogue.entry(ident)
-        grid = ent.default_grid or [{}]
-        for params in grid:
+        for params in catalogue.entry(ident).default_grid:
             check = catalogue.verify_entry(ident, params, rtol=rtol)
             status = "pass" if check.passed else "FAIL " + "; ".join(check.failures)
             report.add(f"{ident}({_spec(params)})", status, indent=1)

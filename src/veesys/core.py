@@ -28,6 +28,12 @@ def _as_readonly(a):
     return a
 
 
+def _quotient(num, den):
+    """num / den, and 0 where den is 0: a flat whose plane data underflow
+    reads as degenerate instead of as NaN."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
 def max_minors(a, b):
     """The largest |2x2 minor| of each column pair (a[:, k], b[:, k]): zero
     exactly when the two columns are proportional."""
@@ -216,19 +222,20 @@ def analyse(config):
     weight = np.array([[1.0], [2.0], [1.0]])
     gp = np.stack([(decomp.multi_incidence * P[:, a] * P[:, b]).sum(0)
                    for a, b in ((i, i), (i, j), (j, j))])
-    nu_lsq = (weight * gp * g).sum(0) / (weight * g * g).sum(0)
+    nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
     g11, g22 = P[pair_i, pair_i], P[pair_j, pair_j]
     residuals = np.concatenate([
         np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
-        np.sqrt((weight * (gp - nu_lsq * g) ** 2).sum(0) / (weight * gp * gp).sum(0)),
+        np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
+                          (weight * gp * gp).sum(0))),
     ])
     nus = 0.5 * np.concatenate([g11 + g22, np.diag(P) @ decomp.multi_incidence])
 
     duals = form.gram_inverse @ config.matrix
     u, v = duals[:, i], duals[:, j]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
-    ratios = (np.sqrt((wedge ** 2).sum((0, 1)))
-              / (np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)))
+    ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
+                       np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0))
     for shared in (P, residuals, nus, ratios):
         shared.setflags(write=False)
     return PlaneAnalysis(form, P, decomp, residuals, nus, ratios,

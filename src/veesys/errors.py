@@ -84,6 +84,10 @@ class InadmissibleParameters(VeesysError):
         )
 
 
+class InvalidConfiguration(VeesysError):
+    """Admissible parameters of a catalogue family give no valid configuration."""
+
+
 class ScriptFormatError(VeesysError):
     """A reconstruction script file could not be parsed."""
 

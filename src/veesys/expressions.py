@@ -99,7 +99,14 @@ def _parse(text):
 
 
 def evaluate(expression, names=None):
-    """Evaluate an arithmetic/boolean expression string with given names."""
+    """Evaluate an arithmetic/boolean expression string with given names.
+
+    An arithmetic fault (an overflowing power, a division by zero) raises
+    ExpressionError naming the expression.
+    """
     if isinstance(expression, (int, float)):
         return float(expression)
-    return _eval(_parse(str(expression)), dict(names or {}))
+    try:
+        return _eval(_parse(str(expression)), dict(names or {}))
+    except ArithmeticError as exc:
+        raise ExpressionError(f"cannot evaluate '{expression}': {exc.args[-1]}") from None

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from veesys import catalogue, deform
 from veesys.catalogue import CatalogueDataError
-from veesys.errors import InadmissibleParameters, UnknownEntry, VeesysError
+from veesys.errors import (InadmissibleParameters, InvalidConfiguration, UnknownEntry,
+                           VeesysError)
 from veesys.expressions import ExpressionError, evaluate
 from veesys.tolerances import SQRT_CLAMP
 
@@ -57,6 +59,28 @@ def test_unknown_parameters_raise():
         catalogue.construct("F3", {"s": 1})
 
 
+@pytest.mark.parametrize("ident, params, reason", [
+    ("F3", {"t": 1e-200}, "zero covector"),
+    ("G3", {"t": 1e200}, "do not span"),
+    ("A3", {"c1": 1, "c2": 1, "c3": 1e-200}, "do not span"),
+    ("AB4A1_1", {"t": 1e155}, "cannot evaluate 'sqrt.*out of range"),
+])
+def test_invalid_configurations_are_named(ident, params, reason):
+    """Admissible parameters whose values give no valid configuration."""
+    catalogue.entry(ident).check_admissible(params)
+    with pytest.raises(InvalidConfiguration, match=rf"^{ident}: parameters .* give no "
+                                                   rf"valid configuration: .*{reason}"):
+        catalogue.construct(ident, params)
+
+
+def test_overflow_is_a_failed_row():
+    (row,) = deform.scan_family("AB4A1_1", grid=[{"t": 1e155}])
+    assert row["error"].startswith("InvalidConfiguration: AB4A1_1: ")
+    (failure,) = catalogue.verify_entry("AB4A1_1", {"t": 1e155}).failures
+    assert failure.startswith("construction failed: AB4A1_1: ")
+    assert "out of range" in failure
+
+
 def test_check_report_verdict_is_its_failure_list():
     report = catalogue.CheckReport("subject")
     assert report.passed
@@ -105,6 +129,21 @@ def test_only_construction_errors_become_failed_rows(monkeypatch, error, collect
 def test_relation_counts():
     assert len(catalogue.relations("extension")) == 5
     assert len(catalogue.relations("degeneration")) == 11
+
+
+def test_degenerations_decide_the_matroid_with_same_matroid():
+    for rel in catalogue.relations("degeneration"):
+        assert catalogue.verify_relation(rel).details["matroidVerdict"] == "Yes", rel.description
+
+
+def test_relations_convert_labels_and_default_printed_covectors():
+    first = catalogue.relations("extension")[0]
+    assert first.covectors == ("1", "2", "3", "10", "11", "12", "13")
+    assert first.printed_covectors == first.covectors
+    assert first.path is None and first.scale == "1" and not first.flagged
+    corrected = [rel for rel in catalogue.relations() if rel.printed_covectors != rel.covectors]
+    assert len(corrected) == 4
+    assert all(isinstance(c, str) for rel in corrected for c in rel.printed_covectors)
 
 
 def test_flagged_rows_carry_notes():
@@ -203,6 +242,25 @@ def test_malformed_catalogue_json_is_named_error(load_text):
             load_text(broken)
 
 
+def _resealed(text):
+    """The text with its checksum line recomputed, so the load goes past it."""
+    return text.replace(catalogue.data_checksum(), catalogue.data_checksum(text), 1)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ('"id": "A3",', '"id": "A3", "colour": "red",', r"entries\[0\]: .*'colour'"),
+    ('      "id": "A3",\n', "", r"entries\[0\]: .*'id'"),
+    ('"kind": "extension",', '"kind": "extension", "weight": 1,', r"relations\[0\]: .*'weight'"),
+    ('      "kind": "extension",\n', "", r"relations\[0\]: .*'kind'"),
+    ('"id": "B3-roots",', '"id": "B3-roots", "rank": 3,', r"auxiliary\[0\]: .*'rank'"),
+])
+def test_unknown_or_missing_record_field_is_named_error(load_text, old, new, where):
+    text = catalogue._data_text()
+    assert text.count(old) >= 1
+    with pytest.raises(CatalogueDataError, match=rf"catalogue record {where}"):
+        load_text(_resealed(text.replace(old, new, 1)))
+
+
 def test_catalogue_of_wrong_shape_is_named_error(load_text):
     with pytest.raises(CatalogueDataError, match="unsupported data format None"):
         load_text("[]")
@@ -247,6 +305,14 @@ class TestExpressions:
     def test_unknown_name(self):
         with pytest.raises(ExpressionError, match="unknown name"):
             evaluate("t + u", {"t": 1})
+
+    @pytest.mark.parametrize("text, names", [
+        ("t**2", {"t": 1e155}),
+        ("1/t", {"t": 0.0}),
+    ])
+    def test_arithmetic_faults_are_expression_errors(self, text, names):
+        with pytest.raises(ExpressionError, match=rf"cannot evaluate '{re.escape(text)}'"):
+            evaluate(text, names)
 
     def test_parsed_strings_are_checked_on_every_call(self):
         # a parsed tree is reused, but its syntax is still checked each time

@@ -359,3 +359,29 @@ def test_contradictory_coplanarity_is_usage_error(tmp_path, command):
     assert result.stderr.startswith("error: coplanarity contradicts itself"), result.stderr
     assert "covectors a and c" in result.stderr
     assert "Traceback" not in result.stderr + result.stdout
+
+
+@pytest.mark.parametrize("ident, params", [
+    ("F3", "t=1e-200"),
+    ("G3", "t=1e200"),
+    ("A3", "c1=1,c2=1,c3=1e-200"),
+    ("AB4A1_1", "t=1e155"),
+    ("A3", "c1=1e300,c2=1,c3=1"),
+])
+def test_invalid_configuration_from_parameters_is_usage_error(ident, params):
+    """Admissible parameters that give no valid configuration, or a plane
+    too small to measure, end in one named error and exit 2."""
+    result = subprocess.run(
+        [sys.executable, "-m", "veesys.cli", "verify", "--catalogue", ident, "--params", params],
+        env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 2, result
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("extra", [["<doc>"], ["--params", "zz=5"], ["--params", "t=1"]])
+def test_deform_grid_takes_catalogue_only(runner, h3_file, extra):
+    args = [h3_file if a == "<doc>" else a for a in extra]
+    result = runner.invoke(main, ["deform", *args, "--catalogue", "B3", "--grid"])
+    assert result.exit_code == 2, result.output
+    assert "--grid takes --catalogue only" in result.output

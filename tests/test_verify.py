@@ -399,6 +399,19 @@ def test_cached_analysis_holds_no_tolerance():
     assert verify.plane_analysis(config, 0.99 * smallest) is config.analysis
 
 
+def test_underflowing_planes_read_as_degenerate():
+    """A3 at c1 = 1e300: the duals of covectors 2 and 3 underflow, so the
+    plane data of the multi flats through them are 0/0.  Those flats read as
+    degenerate, with no NaN and no numpy warning (a warning fails the test)."""
+    config = catalogue.construct("A3", {"c1": 1e300, "c2": 1, "c3": 1})
+    analysis = config.analysis
+    for values in (analysis.residuals, analysis.nus, analysis.ratios):
+        assert np.isfinite(values).all()
+    assert (analysis.ratios == 0).all()
+    with pytest.raises(DegeneratePlane, match="flat members 1, 2 are proportional"):
+        check_vee(config)
+
+
 def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
     seen = []
 
