@@ -277,7 +277,8 @@ def verify_entry(entry_id, params=None, rtol=None):
     matches the stored one (relative ORACLE_RTOL on the largest entry); the
     plane conditions pass at ``rtol``; the flat lists match exactly as label
     sets; the nu-values (trace formula) match the stored formulas (relative
-    ORACLE_RTOL).
+    ORACLE_RTOL).  An error from construction or from the plane check (a
+    singular form, a degenerate plane) is a failed row, not raised.
     """
     ent = entry(entry_id)
     params = dict(params or {})
@@ -290,7 +291,11 @@ def verify_entry(entry_id, params=None, rtol=None):
         return report
 
     names = ent.names(params)  # the oracles share one evaluation of the constants
-    vee = check_vee(config, rtol=rtol)
+    try:
+        vee = check_vee(config, rtol=rtol)
+    except VeesysError as exc:
+        report.failures.append(f"plane check failed: {exc}")
+        return report
     expected_gram = _evaluated(ent.gram, names)
     scale = np.abs(expected_gram).max()
     gram_err = np.abs(vee.form.gram - expected_gram).max() / scale

@@ -1,12 +1,23 @@
 """Command-line front end.
 
-Report format: plain structured text, one ``key: value`` pair per line,
-two-space indentation for nested records, deterministic for a fixed input
-and tolerance (no timestamps inside the payload; timing is a trailing
-comment line).  Exit codes: 0 = pass, 1 = semantic failure (checks ran and
-failed), 2 = usage, parse or admissibility error (any VeesysError, which
-the command group turns into ``error: ...`` on stderr).  ``--rtol`` is kept
-in the click context and passed to every check a command calls.
+Every command returns one plain value: its verdict, its input line and its
+report body, ordered ``(key, value)`` pairs.  One renderer, ``_write``,
+writes every report as text, deterministic for a fixed input and tolerance:
+
+- a header of ``tool``, ``command``, ``input`` and ``rtol`` lines;
+- one ``key: value`` line per body pair, or for a section (a list of
+  rows) a ``key:`` line followed by its rows, indented two spaces;
+- a row is ``key: value``, or ``key: word word ...`` for a record (a dict),
+  one ``field=value`` word per field: a ``kind`` field is written bare and
+  a field that is None is left out;
+- floats are written ``.3e`` for the fields named in ``SCIENTIFIC`` and
+  ``.12g`` for all others, and a label tuple as ``(a b c)``;
+- a trailing ``# elapsed: …s`` comment, the only line that varies.
+
+Exit codes: 0 = pass, 1 = semantic failure (checks ran and failed), 2 =
+usage, parse or admissibility error (any VeesysError, which the command
+group turns into ``error: ...`` on stderr).  ``--rtol`` is kept in the
+click context and passed to every check a command calls.
 """
 
 from __future__ import annotations
@@ -25,34 +36,42 @@ from .tolerances import RECONSTRUCTION_TOL, resolve
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+# the fields whose floats are written .3e; every other float is written .12g
+SCIENTIFIC = frozenset(
+    {"rtol", "maxResidual", "residual", "spectralGap", "angularError", "maxAngularError"}
+)
 
-class Report:
-    """Accumulates the structured-text report."""
 
-    def __init__(self, command, digest):
-        rtol = resolve(click.get_current_context().obj)
-        self.lines = [
-            f"tool: veesys {__version__}",
-            f"command: {command}",
-            f"input: {digest}",
-            f"rtol: {rtol:.3e}",
-        ]
-        self.started = time.monotonic()
+def _word(field, value):
+    if isinstance(value, float):
+        return format(value, ".3e" if field in SCIENTIFIC else ".12g")
+    if isinstance(value, tuple):
+        return "(" + " ".join(value) + ")"
+    return str(value)
 
-    def add(self, key, value, indent=0):
-        self.lines.append("  " * indent + f"{key}: {value}")
 
-    def section(self, name):
-        self.lines.append(f"{name}:")
+def _lines(pairs, indent=""):
+    for key, value in pairs:
+        if isinstance(value, list):
+            yield f"{indent}{key}:"
+            yield from _lines(value, indent + "  ")
+            continue
+        if isinstance(value, dict):
+            value = " ".join(_word(f, v) if f == "kind" else f"{f}={_word(f, v)}"
+                             for f, v in value.items() if v is not None)
+        yield f"{indent}{_word(None, key)}: {_word(key, value)}"
 
-    def write(self, out):
-        elapsed = time.monotonic() - self.started
-        text = "\n".join(self.lines) + f"\n# elapsed: {elapsed:.3f}s\n"
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            click.echo(text, nl=False)
+
+def _write(command, source, rtol, body, elapsed, out):
+    """Render one report as text to ``out``, or to stdout if it is None."""
+    header = [("tool", f"veesys {__version__}"), ("command", command),
+              ("input", source), ("rtol", resolve(rtol))]
+    text = "\n".join(_lines(header + body)) + f"\n# elapsed: {elapsed:.3f}s\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _parse_params(text):
@@ -77,35 +96,21 @@ def _spec(params):
     return ",".join(f"{k}={v!r}" for k, v in sorted(params.items()))
 
 
-def _open(command, path, catalogue_id, params_text):
-    """The input configuration of a command and the report describing it."""
+def _open(path, catalogue_id, params_text):
+    """The input configuration of a command and its report's input line."""
     if (path is None) == (catalogue_id is None):
         raise click.UsageError("give exactly one of INPUT or --catalogue")
     if path is not None:
         data = io.read_document(path)
         config = io.parse_document(data)
-        digest = hashlib.sha256(data).hexdigest()[:16]
-        return config, Report(command, f"{path} sha256:{digest}")
+        return config, f"{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
     params = _parse_params(params_text)
     config = catalogue.construct(catalogue_id, params)
-    return config, Report(command, f"catalogue:{catalogue_id}({_spec(params)})")
+    return config, f"catalogue:{catalogue_id}({_spec(params)})"
 
 
-out_option = click.option("--out", default=None, help="write the report here")
-
-
-def configuration_options(command):
-    """INPUT or --catalogue/--params, and --out, in that order."""
-    for option in (
-        out_option,
-        click.option("--params", "params_text", default="",
-                     help="family parameters k=v[,k=v]"),
-        click.option("--catalogue", "catalogue_id", default=None,
-                     help="catalogue family id"),
-        click.argument("input", required=False, type=click.Path(), default=None),
-    ):
-        command = option(command)
-    return command
+def _data_source():
+    return f"data sha256:{catalogue.checksum()[:16]}"
 
 
 class CommandGroup(click.Group):
@@ -130,171 +135,149 @@ def main(ctx, rtol):
     ctx.obj = rtol
 
 
-def _flat_label(config, flat):
-    return "(" + " ".join(config.sublabels(flat.members)) + ")"
+def report_command(group, name, configuration=True):
+    """Register ``fn(rtol, **options)`` as the command ``name`` of ``group``.
+
+    ``fn`` returns ``(passed, input line, body)``; the command writes the
+    report to stdout or ``--out`` and exits 0 if it passed, else 1.  A
+    configuration command takes INPUT, --catalogue and --params, then
+    --out, before its own parameters; any other command takes --out after
+    them.
+    """
+    title = name if group is main else f"{group.name} {name}"
+
+    def decorate(fn):
+        @click.pass_obj
+        def run(rtol, out, **options):
+            started = time.monotonic()
+            passed, source, body = fn(rtol, **options)
+            _write(title, source, rtol, body, time.monotonic() - started, out)
+            sys.exit(PASS if passed else FAIL)
+
+        own = list(reversed(fn.__dict__.get("__click_params__", [])))
+        out = click.Option(["--out"], help="write the report here")
+        params = [*own, out]
+        if configuration:
+            params = [
+                click.Argument(["input"], required=False, type=click.Path()),
+                click.Option(["--catalogue", "catalogue_id"],
+                             help="catalogue family id"),
+                click.Option(["--params", "params_text"], default="",
+                             help="family parameters k=v[,k=v]"),
+                out, *own,
+            ]
+        return group.command(name, params=params, help=fn.__doc__)(run)
+
+    return decorate
 
 
-@main.command("verify")
-@configuration_options
-@click.pass_obj
-def cmd_verify(rtol, input, catalogue_id, params_text, out):
+@report_command(main, "verify")
+def cmd_verify(rtol, input, catalogue_id, params_text):
     """Check the orthogonality/proportionality conditions plane by plane."""
-    config, report = _open("verify", input, catalogue_id, params_text)
+    config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
-    report.add("covectors", config.n)
-    report.add("dimension", config.dimension)
-    report.add("isVeeSystem", vee.is_vee_system)
-    report.add("maxResidual", f"{vee.max_residual:.3e}")
-    report.section("flats")
-    for v in vee.per_flat:
-        detail = f"{v.kind} residual={v.residual:.3e}"
-        if v.nu is not None:
-            detail += f" nu={v.nu:.12g}"
-        report.add("(" + " ".join(v.flat) + ")", detail, indent=1)
-    report.write(out)
-    sys.exit(PASS if vee.is_vee_system else FAIL)
+    flats = [(v.flat, {"kind": v.kind, "residual": v.residual, "nu": v.nu})
+             for v in vee.per_flat]
+    return vee.is_vee_system, source, [
+        ("covectors", config.n), ("dimension", config.dimension),
+        ("isVeeSystem", vee.is_vee_system), ("maxResidual", vee.max_residual),
+        ("flats", flats),
+    ]
 
 
-@main.command("matroid")
-@configuration_options
-def cmd_matroid(input, catalogue_id, params_text, out):
+@report_command(main, "matroid")
+def cmd_matroid(rtol, input, catalogue_id, params_text):
     """Print the rank-2 flat decomposition and its fingerprint."""
-    config, report = _open("matroid", input, catalogue_id, params_text)
+    config, source = _open(input, catalogue_id, params_text)
     decomp = matroid.decompose(config)
-    fp = matroid.fingerprint(decomp)
-    report.add("covectors", decomp.n)
-    report.add("pairFlats", len(decomp.pair_members))
-    report.add("multiFlats", len(decomp.multi))
-    report.add("fingerprint", fp.digest)
-    report.section("flats")
-    for f in decomp.flats:
-        report.add(_flat_label(config, f), f"size={f.size}", indent=1)
-    report.write(out)
-    sys.exit(PASS)
+    flats = [(config.sublabels(f.members), {"size": f.size}) for f in decomp.flats]
+    return True, source, [
+        ("covectors", decomp.n), ("pairFlats", len(decomp.pair_members)),
+        ("multiFlats", len(decomp.multi)),
+        ("fingerprint", matroid.fingerprint(decomp).digest), ("flats", flats),
+    ]
 
 
-@main.command("nu")
-@configuration_options
-@click.pass_obj
-def cmd_nu(rtol, input, catalogue_id, params_text, out):
+@report_command(main, "nu")
+def cmd_nu(rtol, input, catalogue_id, params_text):
     """Print the nu-function on the multi flats."""
-    config, report = _open("nu", input, catalogue_id, params_text)
+    config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
-    report.section("nu")
-    for labels, value in sorted(vee.nu_function.items()):
-        report.add("(" + " ".join(labels) + ")", f"{value:.12g}", indent=1)
-    report.write(out)
-    sys.exit(PASS if vee.is_vee_system else FAIL)
+    return vee.is_vee_system, source, [("nu", sorted(vee.nu_function.items()))]
 
 
-@main.command("weights")
-@configuration_options
-@click.pass_obj
-def cmd_weights(rtol, input, catalogue_id, params_text, out):
+@report_command(main, "weights")
+def cmd_weights(rtol, input, catalogue_id, params_text):
     """Solve the per-covector weight system and print the universal value."""
-    config, report = _open("weights", input, catalogue_id, params_text)
+    config, source = _open(input, catalogue_id, params_text)
     solution = verify.solve_weights(config, rtol=rtol)
-    report.add("status", solution.status)
+    body = [("status", solution.status)]
     if solution.weights is not None:
-        report.add("universalValue", f"{solution.universal_value:.12g}")
-        report.section("weights")
-        for labels, value in sorted(solution.weights.items()):
-            report.add("(" + " ".join(labels) + ")", f"{value:.12g}", indent=1)
-    report.write(out)
-    sys.exit(PASS if solution.status != "infeasible" else FAIL)
+        body += [("universalValue", solution.universal_value),
+                 ("weights", sorted(solution.weights.items()))]
+    return solution.status != "infeasible", source, body
 
 
-@main.command("harmonic")
-@configuration_options
-@click.pass_obj
-def cmd_harmonic(rtol, input, catalogue_id, params_text, out):
+@report_command(main, "harmonic")
+def cmd_harmonic(rtol, input, catalogue_id, params_text):
     """Cross-ratio check on all 4-member flats (expected value -1)."""
-    config, report = _open("harmonic", input, catalogue_id, params_text)
+    config, source = _open(input, catalogue_id, params_text)
     records = verify.check_harmonic(config, rtol=rtol)
-    all_ok = all(r.verdict for r in records) if records else True
-    report.add("fourFlats", len(records))
-    report.add("allHarmonic", all_ok)
-    report.section("records")
-    for r in records:
-        value = "none" if r.cross_ratio is None else f"{r.cross_ratio:.12g}"
-        pair = "-" if r.orthogonal_pair is None else " ".join(r.orthogonal_pair)
-        note = f" note={r.note}" if r.note else ""
-        report.add(
-            "(" + " ".join(r.flat) + ")",
-            f"crossRatio={value} orthogonalPair=({pair}) ok={r.verdict}{note}",
-            indent=1,
-        )
-    report.write(out)
-    sys.exit(PASS if all_ok else FAIL)
+    all_ok = all(r.verdict for r in records)
+    rows = [(r.flat, {"crossRatio": "none" if r.cross_ratio is None else r.cross_ratio,
+                      "orthogonalPair": r.orthogonal_pair or ("-",),
+                      "ok": r.verdict, "note": r.note or None})
+            for r in records]
+    return all_ok, source, [
+        ("fourFlats", len(records)), ("allHarmonic", all_ok), ("records", rows),
+    ]
 
 
-@main.command("deform")
-@configuration_options
+@report_command(main, "deform")
 @click.option("--mode", type=click.Choice(["free", "fixed"]), default="free")
 @click.option("--grid", "grid_flag", is_flag=True,
               help="scan the family's default parameter grid")
-@click.pass_obj
-def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag, out):
+def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag):
     """Corank analysis of the linearised deformation system."""
     if grid_flag:
         if catalogue_id is None or input is not None or params_text:
             raise click.UsageError("--grid takes --catalogue only, no INPUT or --params")
-        report = Report("deform", f"catalogue:{catalogue_id}(grid)")
         rows = deform.scan_family(catalogue_id, rtol=rtol)
-        report.add("mode", "both")
-        report.section("grid")
-        ok = True
-        for row in rows:
-            spec = _spec(row["parameters"])
-            if "error" in row:
-                report.add(f"({spec})", row["error"], indent=1)
-                ok = False
-            else:
-                report.add(
-                    f"({spec})",
-                    f"freeNu={row['freeNuCorank']} fixedNu={row['fixedNuCorank']}",
-                    indent=1,
-                )
-        report.write(out)
-        sys.exit(PASS if ok else FAIL)
-    config, report = _open("deform", input, catalogue_id, params_text)
+        grid = [(f"({_spec(row['parameters'])})", row.get("error") or {
+                    "freeNu": row["freeNuCorank"], "fixedNu": row["fixedNuCorank"]})
+                for row in rows]
+        passed = all("error" not in row for row in rows)
+        source = f"catalogue:{catalogue_id}(grid)"
+        return passed, source, [("mode", "both"), ("grid", grid)]
+    config, source = _open(input, catalogue_id, params_text)
     mode_name = deform.FREE_NU if mode == "free" else deform.FIXED_NU
     system = deform.build_system(config, mode_name, rtol=rtol)
-    report.add("mode", system.mode)
-    report.add("rank", system.rank)
-    report.add("corank", system.corank)
-    report.add("spectralGap", f"{system.spectral_gap:.3e}")
-    report.write(out)
-    sys.exit(PASS)
+    return True, source, [
+        ("mode", system.mode), ("rank", system.rank), ("corank", system.corank),
+        ("spectralGap", system.spectral_gap),
+    ]
 
 
-@main.command("reconstruct")
+@report_command(main, "reconstruct", configuration=False)
 @click.argument("name", type=click.Choice(sorted(catalogue.SCRIPT_REFERENCES)))
 @click.option("--branch", type=click.Choice(["plus", "minus"]), default=None)
-@out_option
-@click.pass_obj
-def cmd_reconstruct(rtol, name, branch, out):
+def cmd_reconstruct(rtol, name, branch):
     """Run a shipped reconstruction script against its reference system."""
-    report = Report("reconstruct", f"script:{name}")
     config, basis = catalogue.script_reference(name)
     script = load_script(catalogue.script_path(name))
     reference = to_projective(config)
     env = run_reconstruction(
         script, [reference[l] for l in basis], branch=branch, rtol=rtol
     )
-    report.add("basis", " ".join(basis))
-    report.add("branch", branch or "-")
-    worst = 0.0
-    report.section("points")
-    for label in sorted(reference, key=lambda l: (len(l), l)):
-        err = env[label].angular_error(reference[label])
-        worst = max(worst, err)
-        report.add(label, f"angularError={err:.3e}", indent=1)
-    report.add("maxAngularError", f"{worst:.3e}")
+    errors = {label: env[label].angular_error(reference[label])
+              for label in sorted(reference, key=lambda l: (len(l), l))}
+    worst = max([0.0, *errors.values()])
     ok = worst < RECONSTRUCTION_TOL
-    report.add("matchesReference", ok)
-    report.write(out)
-    sys.exit(PASS if ok else FAIL)
+    return ok, f"script:{name}", [
+        ("basis", " ".join(basis)), ("branch", branch or "-"),
+        ("points", [(label, {"angularError": err}) for label, err in errors.items()]),
+        ("maxAngularError", worst), ("matchesReference", ok),
+    ]
 
 
 @main.group("catalogue")
@@ -302,71 +285,53 @@ def cmd_catalogue():
     """Inspect and verify the shipped catalogue."""
 
 
-@cmd_catalogue.command("list")
-@out_option
-def catalogue_list(out):
+@report_command(cmd_catalogue, "list", configuration=False)
+def catalogue_list(rtol):
     """List the catalogue families and their parameter specs."""
-    report = Report("catalogue list", f"data sha256:{catalogue.checksum()[:16]}")
-    report.section("entries")
-    for ident in catalogue.ids():
-        ent = catalogue.entry(ident)
-        params = ",".join(ent.parameters) if ent.parameters else "-"
-        report.add(
-            ident,
-            f"name={ent.name!r} n={ent.n} parameters={params}",
-            indent=1,
-        )
-    report.write(out)
-    sys.exit(PASS)
+    entries = [(ent.id, {"name": repr(ent.name), "n": ent.n,
+                         "parameters": ",".join(ent.parameters) or "-"})
+               for ent in map(catalogue.entry, catalogue.ids())]
+    return True, _data_source(), [("entries", entries)]
 
 
-@cmd_catalogue.command("relations")
-@out_option
-def catalogue_relations(out):
+@report_command(cmd_catalogue, "relations", configuration=False)
+def catalogue_relations(rtol):
     """List the shipped extension and degeneration records."""
-    report = Report("catalogue relations", f"data sha256:{catalogue.checksum()[:16]}")
+    body = []
     for kind in ("extension", "degeneration"):
         rows = catalogue.relations(kind)
-        report.add(f"{kind}s", len(rows))
-        report.section(kind)
-        for rel in rows:
-            flag = " [flagged]" if rel.flagged else ""
-            report.add(rel.description + flag,
-                       "{" + " ".join(rel.covectors) + "}", indent=1)
-    report.write(out)
-    sys.exit(PASS)
+        body += [(f"{kind}s", len(rows)), (kind, [
+            (rel.description + (" [flagged]" if rel.flagged else ""),
+             "{" + " ".join(rel.covectors) + "}") for rel in rows])]
+    return True, _data_source(), body
 
 
-@cmd_catalogue.command("verify-all")
+def _status(check):
+    if check is None:
+        return "skipped (flagged, --strict)"
+    return "pass" if check.passed else "FAIL " + "; ".join(check.failures)
+
+
+@report_command(cmd_catalogue, "verify-all", configuration=False)
 @click.option("--strict", is_flag=True,
               help="exclude flagged relation rows from the run")
-@out_option
-@click.pass_obj
-def catalogue_verify_all(rtol, strict, out):
+def catalogue_verify_all(rtol, strict):
     """Verify every entry on its default grid and every relation row."""
-    report = Report("catalogue verify-all",
-                    f"data sha256:{catalogue.checksum()[:16]}")
-    failures = 0
-    report.section("entries")
-    for ident in catalogue.ids():
-        for params in catalogue.entry(ident).default_grid:
-            check = catalogue.verify_entry(ident, params, rtol=rtol)
-            status = "pass" if check.passed else "FAIL " + "; ".join(check.failures)
-            report.add(f"{ident}({_spec(params)})", status, indent=1)
-            failures += 0 if check.passed else 1
-    report.section("relations")
-    for kind in ("extension", "degeneration"):
-        for rel in catalogue.relations(kind):
-            if strict and rel.flagged:
-                report.add(rel.description, "skipped (flagged, --strict)", indent=1)
-                continue
-            check = catalogue.verify_relation(rel, rtol=rtol)
-            status = "pass" if check.passed else "FAIL " + "; ".join(check.failures)
-            report.add(rel.description, status, indent=1)
-            failures += 0 if check.passed else 1
-    report.add("failures", failures)
-    report.write(out)
-    sys.exit(PASS if failures == 0 else FAIL)
+    entries = [(f"{ident}({_spec(params)})",
+                catalogue.verify_entry(ident, params, rtol=rtol))
+               for ident in catalogue.ids()
+               for params in catalogue.entry(ident).default_grid]
+    relations = [(rel.description, None if strict and rel.flagged
+                  else catalogue.verify_relation(rel, rtol=rtol))
+                 for kind in ("extension", "degeneration")
+                 for rel in catalogue.relations(kind)]
+    failures = sum(not (check is None or check.passed)
+                   for _, check in entries + relations)
+    return failures == 0, _data_source(), [
+        ("entries", [(key, _status(check)) for key, check in entries]),
+        ("relations", [(key, _status(check)) for key, check in relations]),
+        ("failures", failures),
+    ]
 
 
 if __name__ == "__main__":

@@ -180,7 +180,9 @@ def check_harmonic(config, rtol=None):
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
     members = np.array(quads, dtype=int).reshape(-1, 4)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
-    orthogonal = np.abs(P[I, J]) / np.sqrt(P[I, I] * P[J, J]) < orthogonal_pair_tol(tol)
+    # normalised by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0
+    root = np.sqrt(np.diag(P))
+    orthogonal = np.abs(P[I, J]) / (root[I] * root[J]) < orthogonal_pair_tol(tol)
     flat_of, pair_of = np.nonzero(orthogonal)
     points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
     values = iter(cross_ratios(points, rtol=tol).tolist())

@@ -126,6 +126,19 @@ def test_only_construction_errors_become_failed_rows(monkeypatch, error, collect
             deform.scan_family("H3")
 
 
+@pytest.mark.parametrize("c1, error", [
+    (1e-20, "canonical form is singular: numerical rank 2 < dimension 3"),
+    (1e100, "flat members 2, 3 are proportional"),
+])
+def test_plane_check_errors_become_failed_rows(c1, error):
+    """Admissible parameters that construct but fail the plane check (a
+    singular form, a degenerate plane) give a failed row, as in scan_family."""
+    params = {"c1": c1, "c2": 1, "c3": 1}
+    assert catalogue.verify_entry("A3", params).failures == [f"plane check failed: {error}"]
+    (row,) = deform.scan_family("A3", [params])
+    assert row["error"].endswith(error)
+
+
 def test_relation_counts():
     assert len(catalogue.relations("extension")) == 5
     assert len(catalogue.relations("degeneration")) == 11

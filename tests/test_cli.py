@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,7 @@ import veesys
 from veesys import catalogue, io
 from veesys.cli import main
 from veesys.core import CovectorConfiguration
+from veesys.tolerances import RECONSTRUCTION_TOL
 
 
 @pytest.fixture
@@ -385,3 +387,155 @@ def test_deform_grid_takes_catalogue_only(runner, h3_file, extra):
     result = runner.invoke(main, ["deform", *args, "--catalogue", "B3", "--grid"])
     assert result.exit_code == 2, result.output
     assert "--grid takes --catalogue only" in result.output
+
+
+# The full text, apart from the "# elapsed" trailer, of one report of each
+# shape: these are the lines bench/checks.py parses.
+GOLDEN_REPORTS = {
+    "verify --catalogue A3 --params c1=1,c2=1,c3=1": """\
+tool: veesys 0.1.0
+command: verify
+input: catalogue:A3(c1=1.0,c2=1.0,c3=1.0)
+rtol: 1.000e-09
+covectors: 6
+dimension: 3
+isVeeSystem: True
+maxResidual: 0.000e+00
+flats:
+  (1 6): pair residual=0.000e+00
+  (2 5): pair residual=0.000e+00
+  (3 4): pair residual=0.000e+00
+  (1 2 4): multi residual=0.000e+00 nu=0.75
+  (1 3 5): multi residual=0.000e+00 nu=0.75
+  (2 3 6): multi residual=0.000e+00 nu=0.75
+  (4 5 6): multi residual=0.000e+00 nu=0.75
+""",
+    "harmonic --catalogue B3 --params c1=1,c2=1,c3=1,gamma=0": """\
+tool: veesys 0.1.0
+command: harmonic
+input: catalogue:B3(c1=1.0,c2=1.0,c3=1.0,gamma=0.0)
+rtol: 1.000e-09
+fourFlats: 6
+allHarmonic: True
+records:
+  (1 2 6 9): crossRatio=-1 orthogonalPair=(1 2) ok=True note=2OrthogonalPairs
+  (1 2 6 9): crossRatio=-1 orthogonalPair=(6 9) ok=True note=2OrthogonalPairs
+  (1 3 5 8): crossRatio=-1 orthogonalPair=(1 3) ok=True note=2OrthogonalPairs
+  (1 3 5 8): crossRatio=-1 orthogonalPair=(5 8) ok=True note=2OrthogonalPairs
+  (2 3 4 7): crossRatio=-1 orthogonalPair=(2 3) ok=True note=2OrthogonalPairs
+  (2 3 4 7): crossRatio=-1 orthogonalPair=(4 7) ok=True note=2OrthogonalPairs
+""",
+    "deform --catalogue B3 --grid": """\
+tool: veesys 0.1.0
+command: deform
+input: catalogue:B3(grid)
+rtol: 1.000e-09
+mode: both
+grid:
+  (c1=1,c2=1,c3=1,gamma=0): freeNu=4 fixedNu=1
+  (c1=1,c2=2,c3=3,gamma=0.5): freeNu=4 fixedNu=1
+  (c1=2,c2=1,c3=1,gamma=-0.5): freeNu=4 fixedNu=1
+  (c1=0.5,c2=1,c3=2,gamma=1): freeNu=4 fixedNu=1
+""",
+    "reconstruct h3 --branch minus": """\
+tool: veesys 0.1.0
+command: reconstruct
+input: script:h3
+rtol: 1.000e-09
+basis: 4 5 6 7
+branch: minus
+points:
+  1: angularError=0.000e+00
+  2: angularError=0.000e+00
+  3: angularError=0.000e+00
+  4: angularError=0.000e+00
+  5: angularError=0.000e+00
+  6: angularError=0.000e+00
+  7: angularError=0.000e+00
+  8: angularError=1.144e-16
+  9: angularError=1.302e-16
+  10: angularError=1.360e-16
+  11: angularError=1.272e-16
+  12: angularError=1.415e-16
+  13: angularError=8.777e-17
+  14: angularError=1.415e-16
+  15: angularError=8.777e-17
+maxAngularError: 1.415e-16
+matchesReference: True
+""",
+    "catalogue relations": """\
+tool: veesys 0.1.0
+command: catalogue relations
+input: data sha256:dbd0a3561058fc4f
+rtol: 1.000e-09
+extensions: 5
+extension:
+  A3(1,1,1) inside F3(1): {1 2 3 10 11 12 13}
+  A3(1,1,1) inside (AB4(1),A1)_2: {1 2 3 10}
+  (E6,A1^3) inside (E8,A1^3 x A2): {3 4 5 6 9 14 15 16 17}
+  G3(3/2) inside (E8,A1^3 x A2): {1 2 10 11 12 13}
+  H3 inside (H4,A1): {4 5 6 7 20 21 22 23 24 25 26 27 28 29 30 31}
+degenerations: 11
+degeneration:
+  F3(t), t -> 0, limit B3(1,1,1;0): {10 11 12 13}
+  F3(t), t -> infinity, limit D3(1,1): {4 5 6 7 8 9}
+  B3(1,1,1;gamma), gamma -> -1, limit A3(1,1,1) [flagged]: {1 2 3}
+  (AB4(t),A1)_2, t -> infinity, limit D3(1,1): {5 7 9}
+  (AB4(t),A1)_2, t -> 0, limit B3(1,1,1;0): {10}
+  (AB4(t),A1)_1, t -> 1/sqrt(2), limit (E6,A1^3) [flagged]: {3}
+  (1/t)(AB4(t),A1)_1, t -> infinity, limit B3(1,1,1;0): {4 5}
+  G3(t), t -> 1/2, limit (E6,A1^3): {4 5 6}
+  D3(t,1), t -> 2, limit A3(1,1,1): {5}
+  B3(c1,3/2,3/2;-1), c1 -> 1, limit (E6,A3): {1}
+  B3(c1,c2,2;-1), c1,c2 -> 1, limit D3(1,1): {1 2}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_REPORTS))
+def test_golden_report(runner, args):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == 0, result.output
+    assert "".join(line + "\n" for line in _body(result.output)) == GOLDEN_REPORTS[args]
+
+
+def _harmonic_rows(params):
+    argv = ["harmonic", "--catalogue", "F3", "--params", params]
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", *argv],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result
+    rows = [line.split() for line in result.stdout.splitlines() if line.startswith("  (")]
+    # every field but the cross-ratio: flat, orthogonal pair, verdict and note
+    return result.stderr, [[w for w in row if not w.startswith("crossRatio=")] for row in rows]
+
+
+@pytest.mark.parametrize("t", ["3e-101", "3e-151"])
+def test_harmonic_on_tiny_pairings_writes_no_warning(t):
+    """min P_ii is about 9e-202 at t = 3e-101, so P_ii P_jj underflows to 0."""
+    stderr, rows = _harmonic_rows(f"t={t}")
+    assert stderr == ""
+    assert len(rows) == 12
+    assert rows == _harmonic_rows("t=0.7")[1]
+
+
+@pytest.mark.parametrize("factor, code", [(0.5, 0), (2.0, 1)])
+def test_reconstruction_tol_is_decided_on_both_sides(runner, monkeypatch, factor, code):
+    """Reference point 1 of h3, outside the basis, turned by ``factor`` times
+    RECONSTRUCTION_TOL: the reconstruction misses it by that angle."""
+    real = catalogue.script_reference
+    angle = factor * RECONSTRUCTION_TOL
+
+    def turned(name):
+        config, basis = real(name)
+        matrix, k = config.matrix.copy(), config.labels.index("1")
+        v = matrix[:, k].copy()
+        w = np.linalg.svd(v[None])[2][1] * np.linalg.norm(v)  # perpendicular to v
+        matrix[:, k] = math.cos(angle) * v + math.sin(angle) * w
+        return CovectorConfiguration(matrix, config.labels), basis
+
+    monkeypatch.setattr(catalogue, "script_reference", turned)
+    result = runner.invoke(main, ["reconstruct", "h3", "--branch", "minus"])
+    assert result.exit_code == code, result.output
+    assert f"matchesReference: {code == 0}" in result.output
+    error = float(result.output.split("\n  1: angularError=")[1].split()[0])
+    assert error == pytest.approx(angle, rel=1e-3)

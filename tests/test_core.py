@@ -11,7 +11,7 @@ from veesys import (
 )
 from veesys.core import pairing_matrix
 from veesys.errors import SingularForm
-from veesys.tolerances import SINGULAR_FORM_RTOL
+from veesys.tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 
 
 A3_GRAM = np.array([[3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
@@ -66,6 +66,19 @@ def test_rejects_proportional_pair():
     matrix = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])
     with pytest.raises(ValueError, match="proportional"):
         CovectorConfiguration(matrix)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, False), (2.0, True)])
+def test_proportional_pair_cut_is_default_rtol_on_both_sides(factor, accepted):
+    """Covectors 1 and 4 are the closest pair; their largest unit 2x2 minor is
+    ``factor`` times DEFAULT_RTOL, the construction cut."""
+    minor = factor * DEFAULT_RTOL
+    matrix = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, minor], [0.0, 0.0, 1.0, 0.0]])
+    if accepted:
+        assert CovectorConfiguration(matrix).n == 4
+    else:
+        with pytest.raises(ValueError, match="covectors 1 and 4 are proportional"):
+            CovectorConfiguration(matrix)
 
 
 def test_rejects_nonspanning():
