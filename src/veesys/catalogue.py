@@ -20,7 +20,6 @@ relation path per line, so that a change reads line by line.  Its
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -32,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import matroid
+from . import digests, matroid
 from .core import CovectorConfiguration
 from .errors import InadmissibleParameters, InvalidConfiguration, UnknownEntry, VeesysError
 from .expressions import evaluate
@@ -185,7 +184,7 @@ def data_checksum(text=None):
         line for line in text.splitlines()
         if not CHECKSUM_LINE.fullmatch(line.strip())
     )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return digests.sha256(body.encode("utf-8")).hexdigest()
 
 
 def _records(cls, data, section):

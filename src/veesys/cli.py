@@ -22,14 +22,13 @@ click context and passed to every check a command calls.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 import time
 
 import click
 
-from . import __version__, catalogue, deform, io, matroid, verify
+from . import __version__, catalogue, deform, digests, io, matroid, verify
 from .errors import VeesysError
 from .projective import load_script, run_reconstruction, to_projective
 from .tolerances import RECONSTRUCTION_TOL, resolve
@@ -103,7 +102,7 @@ def _open(path, catalogue_id, params_text):
     if path is not None:
         data = io.read_document(path)
         config = io.parse_document(data)
-        return config, f"{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
+        return config, f"{path} sha256:{digests.sha256(data).hexdigest()[:16]}"
     params = _parse_params(params_text)
     config = catalogue.construct(catalogue_id, params)
     return config, f"catalogue:{catalogue_id}({_spec(params)})"

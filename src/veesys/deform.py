@@ -18,6 +18,7 @@ so the corank is at least 1; corank 1 certifies an isolated system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,25 @@ FIXED_NU = "fixedNu"
 
 @dataclass(frozen=True)
 class DeformationSystem:
+    """The linearised system of one mode and its rank.
+
+    The rank, corank and spectral gap come from the singular values alone;
+    the kernel basis needs the singular vectors, so it is computed on first
+    read."""
+
     mode: str
     matrix: np.ndarray  # m x n in the unknowns xi
     rank: int
     corank: int
-    kernel_basis: np.ndarray  # corank x n, orthonormal rows
     singular_values: np.ndarray  # descending
     spectral_gap: float  # smallest kept singular value / the rank threshold
+
+    @cached_property
+    def kernel_basis(self):
+        """Orthonormal rows spanning the kernel, a corank x n array."""
+        # the reduced V already holds the kernel unless there are fewer rows than n
+        full = len(self.matrix) < self.matrix.shape[1]
+        return np.linalg.svd(self.matrix, full_matrices=full)[2][self.rank:]
 
 
 def _assemble_rows(analysis, mode):
@@ -82,16 +95,12 @@ def build_system(config, mode=FREE_NU, rtol=None):
     keep = norms > norms.max() * ROW_DROP_RTOL
     matrix = matrix[keep] / norms[keep, None]
 
-    n = config.n
-    # the reduced V already holds the kernel unless there are fewer rows than n
-    _, svals, vt = np.linalg.svd(matrix, full_matrices=len(matrix) < n)
+    svals = np.linalg.svd(matrix, compute_uv=False)
     threshold = svals[0] * RANK_RTOL * max(matrix.shape)
     rank = int(np.sum(svals > threshold))
-    corank = n - rank
-    kernel = vt[rank:]
     # the kept margin: how far the smallest kept value clears the threshold
     gap = float(svals[rank - 1] / threshold) if rank else float("inf")
-    return DeformationSystem(mode, matrix, rank, corank, kernel, svals, gap)
+    return DeformationSystem(mode, matrix, rank, config.n - rank, svals, gap)
 
 
 def _is_connected_through_multi_flats(analysis):

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import digests
 from .errors import AmbiguousFlats, RankTooHigh
 from .tolerances import COPLANAR_TOL
 
@@ -129,10 +130,8 @@ class MatroidFingerprint:
     @property
     def digest(self):
         """Short relabelling-invariant hex digest of the fingerprint."""
-        import hashlib
-
         payload = repr((self.flat_size_multiset, self.canonical_profile))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return digests.sha256(payload.encode()).hexdigest()[:16]
 
 
 def decompose(config):

@@ -117,15 +117,23 @@ def cross_ratios(quads, rtol=None):
     NotCollinear when a unit point lies off the plane of a and b by more
     than ``collinear_tol``.  A value whose denominator is below
     INFINITE_RATIO_TOL times max(1, |numerator|) is math.inf.
+
+    The cross products and norms are written out as component products and
+    sums, the same arithmetic as ``np.cross`` and ``np.linalg.norm`` and so
+    the same values, bit for bit, without their per-call overhead.
     """
     quads = np.asarray(quads, dtype=float)
-    norms = np.linalg.norm(quads, axis=2, keepdims=True)
+    norms = np.sqrt((quads * quads).sum(axis=2, keepdims=True))
     if not norms.all():
         raise ValueError("projective point needs a nonzero vector")
     units = quads / norms
     first, second = zip(*_PAIRS)
-    crosses = np.cross(units[:, first], units[:, second])
-    sines = np.linalg.norm(crosses, axis=2)
+    # rolled coordinates; take, unlike fancy indexing, keeps every array
+    # C-contiguous, so the einsums below sum in the same order as on np.cross
+    x, y = units.take([1, 2, 0], axis=2), units.take([2, 0, 1], axis=2)
+    crosses = (x.take(first, axis=1) * y.take(second, axis=1)
+               - y.take(first, axis=1) * x.take(second, axis=1))
+    sines = np.sqrt((crosses * crosses).sum(axis=2))
     duplicate = sines < DUPLICATE_SINE
     spans = sines[:, :4] > BASIS_SINE
     rows = np.arange(len(units))

@@ -172,13 +172,16 @@ def check_harmonic(config, rtol=None):
     In a harmonic range one orthogonal pair forces the complementary pair to
     be orthogonal as well, so quads normally carry two orthogonal pairs
     ("two orthogonals"); the count is noted, the verdict only requires the
-    cross-ratio.
+    cross-ratio.  Without a 4-flat there are no records, and no cross-ratio
+    is computed.
     """
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
     P = analysis.pairings
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
-    members = np.array(quads, dtype=int).reshape(-1, 4)
+    if not quads:
+        return []
+    members = np.array(quads, dtype=int)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
     # normalised by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0
     root = np.sqrt(np.diag(P))

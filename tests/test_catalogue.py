@@ -9,7 +9,7 @@ from veesys.catalogue import CatalogueDataError
 from veesys.errors import (InadmissibleParameters, InvalidConfiguration, UnknownEntry,
                            VeesysError)
 from veesys.expressions import ExpressionError, evaluate
-from veesys.tolerances import SQRT_CLAMP
+from veesys.tolerances import ORACLE_RTOL, SQRT_CLAMP
 
 
 EXPECTED_IDS = {
@@ -137,6 +137,29 @@ def test_plane_check_errors_become_failed_rows(c1, error):
     assert catalogue.verify_entry("A3", params).failures == [f"plane check failed: {error}"]
     (row,) = deform.scan_family("A3", [params])
     assert row["error"].endswith(error)
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_nu_oracle_cut(monkeypatch, factor, passed):
+    """verify_entry accepts a computed nu within ORACLE_RTOL * max(1, |nu|)
+    of its oracle and names the flat beyond it."""
+    real, moved = catalogue._nus, []
+
+    def offset(flats, names):
+        nus = real(flats, names)
+        members = next(iter(nus))
+        nus[members] += factor * ORACLE_RTOL * max(1.0, abs(nus[members]))
+        moved.append((members, nus[members]))
+        return nus
+
+    monkeypatch.setattr(catalogue, "_nus", offset)
+    report = catalogue.verify_entry("H3", {})
+    [(members, oracle)] = moved
+    assert report.passed == passed, report.failures
+    if not passed:
+        [failure] = report.failures
+        assert failure.startswith(f"nu mismatch on flat {members}: computed ")
+        assert failure.endswith(f", oracle {oracle!r}")
 
 
 def test_relation_counts():

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import veesys
-from veesys import catalogue, io
+from veesys import catalogue, digests, io
 from veesys.cli import main
 from veesys.core import CovectorConfiguration
 from veesys.tolerances import RECONSTRUCTION_TOL
@@ -228,13 +228,13 @@ def test_catalogue_commands_hash_nothing_after_load(runner, monkeypatch):
     header = f"input: data sha256:{catalogue.data_checksum()[:16]}\n"
     catalogue._load()
     calls = []
-    real = hashlib.sha256
+    real = digests.sha256
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(hashlib, "sha256", counting)
+    monkeypatch.setattr(digests, "sha256", counting)
     for command in ("list", "relations", "verify-all"):
         result = runner.invoke(main, ["catalogue", command])
         assert result.exit_code == 0, result.output
@@ -329,6 +329,24 @@ def test_cli_start_up_imports_no_yaml():
          "print(len(catalogue.ids()), 'yaml' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert probe.stdout.split() == ["17", "False"]
+
+
+def test_cli_loads_no_openssl():
+    """SHA-256 comes from CPython's built-in module, so neither the catalogue
+    checksum nor a report header loads OpenSSL's libcrypto (``_hashlib``)."""
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veesys.cli; from veesys import catalogue; catalogue._load()\n"
+         "try: veesys.cli.main(['verify', '--catalogue', 'H3'])\n"
+         "finally: print('_hashlib' in sys.modules, file=sys.stderr)"],
+        env=_source_env(), capture_output=True, text=True, check=True)
+    assert "isVeeSystem: True" in probe.stdout
+    assert probe.stderr.strip() == "False"
+
+
+def test_digests_match_hashlib():
+    for data in (b"", b"veesys", bytes(range(256)) * 9):
+        assert digests.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_non_utf8_document_is_usage_error(runner, tmp_path):

@@ -10,6 +10,7 @@ from veesys import (
     deform,
     rigidity_test,
     scan_family,
+    verify,
 )
 from veesys.errors import NotAVeeSystem, Reducible
 from veesys.tolerances import RANK_RTOL, ROW_DROP_RTOL
@@ -112,3 +113,79 @@ def test_row_drop_cut(monkeypatch, factor, rank):
     system = build_system(config, FREE_NU)
     assert len(system.matrix) == rank
     assert system.rank == rank
+
+
+def _full_svd_reference(matrix):
+    """Rank, corank, spectral gap, singular values and kernel basis of a
+    deformation matrix from one full SVD, as build_system computed them
+    before it read the singular values alone."""
+    n = matrix.shape[1]
+    _, svals, vt = np.linalg.svd(matrix, full_matrices=len(matrix) < n)
+    threshold = svals[0] * RANK_RTOL * max(matrix.shape)
+    rank = int(np.sum(svals > threshold))
+    gap = float(svals[rank - 1] / threshold) if rank else float("inf")
+    return rank, n - rank, gap, svals, vt[rank:]
+
+
+def _systems():
+    """(name, system) of both modes at the 37 grid points and at two images
+    of every family's first grid point under GL(3) maps with condition
+    number < 100."""
+    configs = [(f"{ident}{params}", catalogue.construct(ident, params))
+               for ident in catalogue.ids() for params in catalogue.entry(ident).default_grid]
+    assert len(configs) == 37
+    rng = np.random.default_rng(23)
+    for ident in catalogue.ids():
+        base = catalogue.construct(ident, catalogue.entry(ident).default_grid[0])
+        for k in range(2):
+            C = rng.standard_normal((3, 3))
+            while np.linalg.cond(C) >= 100:
+                C = rng.standard_normal((3, 3))
+            configs.append((f"{ident} image {k}", base.transformed(C)))
+    for name, config in configs:
+        for mode in (FREE_NU, FIXED_NU):
+            yield f"{name} {mode}", build_system(config, mode)
+
+
+def test_rank_from_singular_values_matches_full_svd():
+    for name, system in _systems():
+        rank, corank, gap, svals, _ = _full_svd_reference(system.matrix)
+        assert (system.rank, system.corank) == (rank, corank), name
+        assert f"{system.spectral_gap:.3e}" == f"{gap:.3e}", name
+        assert np.abs(system.singular_values - svals).max() <= 1e-13 * svals[0], name
+
+
+def test_kernel_basis_is_computed_on_first_read():
+    for name, system in _systems():
+        assert "kernel_basis" not in vars(system), name
+        K = system.kernel_basis
+        assert K is system.kernel_basis
+        assert K.shape == (system.corank, system.matrix.shape[1]), name
+        assert np.allclose(K @ K.T, np.eye(system.corank), atol=1e-10), name
+        assert np.abs(system.matrix @ K.T).max() < 1e-10, name
+        reference = _full_svd_reference(system.matrix)[4]
+        np.testing.assert_allclose(K.T @ K, reference.T @ reference, atol=1e-10,
+                                   err_msg=name)
+
+
+def test_callers_leave_the_kernel_basis_unread(monkeypatch):
+    """build_system, rigidity_test, scan_family and the analysis chain of a
+    document never compute the singular vectors."""
+    built = []
+    real = deform.build_system
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(deform, "build_system", recording)
+    b3 = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
+    for config in (b3, catalogue.construct("H4A1", {}).transformed(np.diag([1.0, 2.0, 3.0]))):
+        assert verify.check_vee(config).is_vee_system
+        verify.solve_weights(config)
+        verify.check_harmonic(config)
+        deform.build_system(config, FREE_NU)
+        rigidity_test(config)
+    scan_family("D3")
+    assert len(built) == 4 + 2 * len(catalogue.entry("D3").default_grid)
+    assert not [system for system in built if "kernel_basis" in vars(system)]

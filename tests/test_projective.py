@@ -16,9 +16,9 @@ from veesys import (
     same_matroid,
     to_projective,
 )
-from veesys import CovectorConfiguration, matroid
+from veesys import CovectorConfiguration, matroid, projective
 from veesys.projective import cross_ratios
-from veesys.tolerances import line_tol, resolve
+from veesys.tolerances import BASIS_SINE, INFINITE_RATIO_TOL, line_tol, resolve
 from veesys.errors import (
     BranchRequired,
     CoincidentLines,
@@ -105,21 +105,53 @@ def _quad_configurations():
             yield f"{ident} image {k}", base.transformed(C)
 
 
+def _four_flat_quads(config):
+    """Every 4-flat of a configuration in the six orders with one of its
+    member pairs last, as lists of member indices."""
+    return [
+        [f.members[m] for m in rest + list(pair)]
+        for f in decompose(config).flats if f.size == 4
+        for pair in itertools.combinations(range(4), 2)
+        for rest in [[m for m in range(4) if m not in pair]]
+    ]
+
+
 def test_cross_ratios_match_reference_on_every_four_flat_quad():
     checked = 0
     for name, config in _quad_configurations():
-        quads = [
-            [f.members[m] for m in rest + list(pair)]
-            for f in decompose(config).flats if f.size == 4
-            for pair in itertools.combinations(range(4), 2)
-            for rest in [[m for m in range(4) if m not in pair]]
-        ]
+        quads = _four_flat_quads(config)
         values = cross_ratios(config.matrix.T[np.array(quads, dtype=int).reshape(-1, 4)])
         expected = [
             _reference_cross_ratio([ProjectivePoint(config.covector(m)) for m in quad])
             for quad in quads
         ]
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12, err_msg=name)
+        checked += len(quads)
+    assert checked > 1000
+
+
+def _np_cross_ratios(quads):
+    """The values of cross_ratios from np.cross and np.linalg.norm, on quads
+    that pass its checks."""
+    units = quads / np.linalg.norm(quads, axis=2, keepdims=True)
+    first, second = zip(*projective._PAIRS)
+    crosses = np.cross(units[:, first], units[:, second])
+    sines = np.linalg.norm(crosses, axis=2)
+    basis = (sines[:, :4] > BASIS_SINE).argmax(axis=1)
+    rows = np.arange(len(units))
+    normal, area = crosses[rows, basis], sines[rows, basis] ** 2
+    d13, d24, d14, d23 = np.einsum("rpi,ri->pr", crosses[:, [1, 4, 2, 3]], normal) / area
+    num, den = d13 * d24, d14 * d23
+    return np.where(np.abs(den) < INFINITE_RATIO_TOL * np.maximum(1.0, np.abs(num)),
+                    math.inf, num / den)
+
+
+def test_cross_ratios_equal_the_np_cross_formula():
+    checked = 0
+    for name, config in _quad_configurations():
+        quads = config.matrix.T[np.array(_four_flat_quads(config), dtype=int).reshape(-1, 4)]
+        values, expected = cross_ratios(quads), _np_cross_ratios(quads)
+        assert values.tolist() == expected.tolist(), name
         checked += len(quads)
     assert checked > 1000
 

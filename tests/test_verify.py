@@ -91,6 +91,19 @@ def test_harmonic_empty_without_quads():
     assert check_harmonic(catalogue.construct("H3", {})) == []
 
 
+@pytest.mark.parametrize("ident", ["A3", "D3"])
+def test_harmonic_without_four_flats_computes_no_cross_ratio(monkeypatch, ident):
+    def refuse(quads, rtol=None):
+        raise AssertionError("cross_ratios called without a 4-flat")
+
+    monkeypatch.setattr(verify, "cross_ratios", refuse)
+    for params in catalogue.entry(ident).default_grid:
+        assert check_harmonic(catalogue.construct(ident, params)) == []
+    # the plane check still runs first
+    with pytest.raises(DegeneratePlane):
+        check_harmonic(catalogue.construct("A3", {"c1": 1e300, "c2": 1, "c3": 1}))
+
+
 def test_harmonic_all_f3_quads():
     records = check_harmonic(catalogue.construct("F3", {"t": 1}))
     assert records, "F3 has 4-member flats"
