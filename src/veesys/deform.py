@@ -91,7 +91,7 @@ def build_system(config, mode=FREE_NU, rtol=None):
 
     matrix = _assemble_rows(analysis, mode)
     # drop rows that vanish to round-off before scaling rows to unit norm
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = np.sqrt((matrix * matrix).sum(axis=1))
     keep = norms > norms.max() * ROW_DROP_RTOL
     matrix = matrix[keep] / norms[keep, None]
 

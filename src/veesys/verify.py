@@ -189,17 +189,18 @@ def check_harmonic(config, rtol=None):
     flat_of, pair_of = np.nonzero(orthogonal)
     points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
     values = iter(cross_ratios(points, rtol=tol).tolist())
+    pairs = iter(pair_of.tolist())  # row by row, so each quad's pairs in turn
+    cut = harmonic_tol(tol)
     records = []
-    for quad, pairs in zip(quads, orthogonal):
+    for quad, count in zip(quads, orthogonal.sum(axis=1).tolist()):
         labels = config.sublabels(quad)
-        count = int(pairs.sum())
         if not count:
             records.append(
                 HarmonicRecord(labels, None, None, False, "NoOrthogonalPair")
             )
             continue
         note = "" if count == 1 else f"{count}OrthogonalPairs"
-        for k in np.flatnonzero(pairs):
+        for k in itertools.islice(pairs, count):
             a, b = _QUAD_PAIRS[k]
             value = next(values)
             records.append(
@@ -207,7 +208,7 @@ def check_harmonic(config, rtol=None):
                     labels,
                     value,
                     (config.labels[quad[a]], config.labels[quad[b]]),
-                    abs(value + 1.0) < harmonic_tol(tol),
+                    abs(value + 1.0) < cut,
                     note,
                 )
             )
