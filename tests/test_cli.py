@@ -332,8 +332,9 @@ def test_cli_start_up_imports_no_yaml():
 
 
 def test_cli_loads_no_openssl():
-    """SHA-256 comes from CPython's built-in module, so neither the catalogue
-    checksum nor a report header loads OpenSSL's libcrypto (``_hashlib``)."""
+    """SHA-256 comes from CPython's built-in module, so neither a catalogue
+    load, which checks the data's SHA-256, nor a verify run loads OpenSSL's
+    libcrypto (``_hashlib``)."""
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, veesys.cli; from veesys import catalogue; catalogue._load()\n"
@@ -342,11 +343,6 @@ def test_cli_loads_no_openssl():
         env=_source_env(), capture_output=True, text=True, check=True)
     assert "isVeeSystem: True" in probe.stdout
     assert probe.stderr.strip() == "False"
-
-
-def test_digests_match_hashlib():
-    for data in (b"", b"veesys", bytes(range(256)) * 9):
-        assert digests.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_non_utf8_document_is_usage_error(runner, tmp_path):
