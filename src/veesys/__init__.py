@@ -46,7 +46,6 @@ from .verify import (
     check_extension,
     check_harmonic,
     check_vee,
-    nu_trace,
     solve_weights,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "load_document",
     "load_script",
     "meet",
-    "nu_trace",
     "parse_document",
     "parse_script",
     "rigidity_test",

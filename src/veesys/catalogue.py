@@ -103,9 +103,6 @@ class CatalogueEntry:
             self.check_admissible(params)
         return _evaluated(self.matrix, self.names(params))
 
-    def gram_at(self, params):
-        return _evaluated(self.gram, self.names(params))
-
     def nu_by_members(self, params):
         return _nus(self.flats, self.names(params))
 

@@ -175,8 +175,11 @@ def cmd_verify(rtol, input, catalogue_id, params_text):
     """Check the orthogonality/proportionality conditions plane by plane."""
     config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
-    flats = [(v.flat, {"kind": v.kind, "residual": v.residual, "nu": v.nu})
-             for v in vee.per_flat]
+    residuals, nus = config.analysis.residuals.tolist(), config.analysis.nus.tolist()
+    flats = [(config.sublabels(f.members),
+              {"kind": "pair" if f.is_pair else "multi", "residual": residual,
+               "nu": None if f.is_pair else nu})
+             for f, residual, nu in zip(vee.decomposition.flats, residuals, nus)]
     return vee.is_vee_system, source, [
         ("covectors", config.n), ("dimension", config.dimension),
         ("isVeeSystem", vee.is_vee_system), ("maxResidual", vee.max_residual),

@@ -106,13 +106,10 @@ class CovectorConfiguration:
     def sublabels(self, indices):
         return tuple(self.labels[i] for i in indices)
 
-    def take(self, indices, labels=None):
+    def take(self, indices):
         """Sub-configuration of the covectors at the given 0-based indices."""
         indices = list(indices)
-        return CovectorConfiguration(
-            self.matrix[:, indices],
-            labels or tuple(self.labels[i] for i in indices),
-        )
+        return CovectorConfiguration(self.matrix[:, indices], self.sublabels(indices))
 
     def transformed(self, linear_map):
         """Apply an invertible linear map to every covector."""

@@ -32,10 +32,6 @@ class AmbiguousFlats(VeesysError):
     other, so its flats do not partition the pairs of covectors."""
 
 
-class NotMultiFlat(VeesysError):
-    """Operation requires a flat with at least three members."""
-
-
 class NotAVeeSystem(VeesysError):
     """Deformation analysis requires the orthogonality/proportionality checks to pass."""
 

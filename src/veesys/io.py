@@ -7,12 +7,13 @@ A configuration document is a JSON object:
       "dimension": 3,
       "covectors": [["1", "0", "0"], ["0.5", "-0.5", "1"], ...],
       "labels": ["1", "2", ...],            # optional
-      "parameters": {"t": "1.5"}            # optional, informational
+      "parameters": {"t": "1.5"}            # optional, read and ignored
     }
 
 Each covector is a column given as decimal strings.  Strings (rather than
 JSON numbers) keep the round-trip bit-identical: values are written with
 ``repr(float)``, the shortest decimal that parses back to the same double.
+A ``parameters`` field is read and ignored, and never written.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def load_document(path):
     return parse_document(read_document(path))
 
 
-def format_document(config, parameters=None):
+def format_document(config):
     """Serialize a configuration to document text (decimal-string columns)."""
     doc = {
         "format": FORMAT,
@@ -110,11 +111,9 @@ def format_document(config, parameters=None):
         ],
         "labels": list(config.labels),
     }
-    if parameters:
-        doc["parameters"] = {k: repr(float(v)) for k, v in parameters.items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def save_document(config, path, parameters=None):
+def save_document(config, path):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_document(config, parameters))
+        handle.write(format_document(config))

@@ -13,7 +13,8 @@ Script file grammar (one record per line, '#' comments allowed)::
     branch: x^2-x-1 ; T on (P Q) at ratio (A B : T D)
 
 Records execute in file order; every label on the right-hand side of a
-record must already be defined when the record runs.
+record must already be defined when the record runs, and a branch ratio
+carries its target in the third slot.
 """
 
 from __future__ import annotations
@@ -222,26 +223,6 @@ class ReconstructionScript:
                 return s
         return None
 
-    def validate(self):
-        defined = set(self.basis_labels)
-        for item in self.items:
-            if isinstance(item, Step):
-                sources = (*item.left, *item.right)
-            else:
-                sources = (
-                    *item.line_pair,
-                    *(l for l in item.ratio_order if l != item.target),
-                )
-            for label in sources:
-                if label not in defined:
-                    raise ScriptFormatError(
-                        f"step '{item}' uses undefined label {label}"
-                    )
-            if item.target in defined:
-                raise ScriptFormatError(f"label {item.target} defined twice")
-            defined.add(item.target)
-        return self
-
 
 _STEP_RE = re.compile(
     r"^(\S+)\s*=\s*\(\s*(\S+)\s+(\S+)\s*\)\s*\^\s*\(\s*(\S+)\s+(\S+)\s*\)$"
@@ -305,7 +286,23 @@ def parse_script(text):
         raise ScriptFormatError(f"line {lineno}: cannot parse '{raw.strip()}'")
     if basis is None:
         raise ScriptFormatError("script has no basis record")
-    return ReconstructionScript(basis, tuple(items)).validate()
+    defined = set(basis)
+    for item in items:
+        if isinstance(item, Step):
+            sources = (*item.left, *item.right)
+        else:
+            sources = (*item.line_pair,
+                       *(l for l in item.ratio_order if l != item.target))
+        for label in sources:
+            if label not in defined:
+                raise ScriptFormatError(f"step '{item}' uses undefined label {label}")
+        if item.target in defined:
+            raise ScriptFormatError(f"label {item.target} defined twice")
+        if isinstance(item, BranchStep) and item.ratio_order[2] != item.target:
+            raise ScriptFormatError(
+                f"step '{item}': branch ratio must carry the target in its third slot")
+        defined.add(item.target)
+    return ReconstructionScript(basis, tuple(items))
 
 
 def load_script(path):
@@ -323,11 +320,7 @@ def _place_by_ratio(step, env, branch_root):
         c, *_ = np.linalg.lstsq(basis, env[label].coordinates, rcond=None)
         return c
 
-    a, b, c, d = step.ratio_order
-    if c != step.target:
-        raise ScriptFormatError(
-            "branch ratio must carry the target in its third slot"
-        )
+    a, b, _, d = step.ratio_order
     xa, ya = coords(a)
     xb, yb = coords(b)
     xd, yd = coords(d)
@@ -346,22 +339,20 @@ def _place_by_ratio(step, env, branch_root):
 def run_reconstruction(script, basis_points, branch=None, rtol=None):
     """Execute a reconstruction script from four basis points.
 
-    ``branch`` selects the root of the branch equation when one is present:
-    "plus"/"minus" or an explicit numeric root.  Returns a dict label ->
-    ProjectivePoint covering basis and all reconstructed points.
+    ``basis_points`` are four ProjectivePoints.  ``branch`` selects the root
+    of the branch equation when one is present: "plus" or "minus".  Returns a
+    dict label -> ProjectivePoint covering basis and all reconstructed points.
     """
     if len(basis_points) != 4:
         raise ValueError("need exactly 4 basis points")
-    pts = [
-        p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
-        for p in basis_points
-    ]
+    if branch not in (None, "plus", "minus"):
+        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     for skip in range(4):
-        triple = [p.coordinates for i, p in enumerate(pts) if i != skip]
+        triple = [p.coordinates for i, p in enumerate(basis_points) if i != skip]
         if abs(np.linalg.det(np.column_stack(triple))) < BASIS_TRIPLE_DET:
             raise ValueError("basis points contain a collinear triple")
 
-    env = dict(zip(script.basis_labels, pts))
+    env = dict(zip(script.basis_labels, basis_points))
     for item in script.items:
         if isinstance(item, Step):
             try:
@@ -381,11 +372,6 @@ def run_reconstruction(script, basis_points, branch=None, rtol=None):
                     "choose a branch"
                 )
             plus, minus = item.roots()
-            if branch == "plus":
-                root = plus
-            elif branch == "minus":
-                root = minus
-            else:
-                root = float(branch)
+            root = plus if branch == "plus" else minus
             env[item.target] = _place_by_ratio(item, env, root)
     return env

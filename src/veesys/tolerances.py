@@ -19,6 +19,13 @@ and flat enumeration tests coplanarity against the fixed COPLANAR_TOL,
 whatever rtol a check uses.  COPLANAR_TOL is the only coplanarity
 threshold: when its decisions on the triples contradict each other, flat
 enumeration raises AmbiguousFlats rather than choosing among them.
+
+Three numpy defaults also cut singular values outside this module, and no
+setting moves them: ``np.linalg.matrix_rank``'s default tolerance (the
+largest singular value times max(m, n) times machine epsilon) decides
+whether the covectors span at construction, and ``np.linalg.lstsq`` with
+``rcond=None`` (the same rule) fixes the rank of the least-squares solves
+in ``verify.solve_weights`` and ``projective._place_by_ratio``.
 """
 
 DEFAULT_RTOL = 1e-9

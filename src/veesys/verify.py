@@ -9,32 +9,23 @@ A configuration passes verification when on every rank-2 flat:
                                factor nu(Pi).
 
 The factor satisfies nu(Pi) = 1/2 * sum over flat members of |alpha|^2
-(squared canonical norm), which is what ``nu_trace`` computes and what all
-reports display; the least-squares factor from the proportionality fit is
-kept internal and must agree with the trace value.
+(squared canonical norm).  ``PlaneAnalysis.nus`` computes this trace for
+every flat, and all reports display it; the least-squares factor from the
+proportionality fit is kept internal and must agree with the trace value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import max_minors
-from .errors import BadEmbedding, DegeneratePlane, NotMultiFlat
+from .errors import BadEmbedding, DegeneratePlane
 from .projective import cross_ratios
 from .tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol, harmonic_tol,
                          orthogonal_pair_tol, resolve)
-
-
-@dataclass(frozen=True)
-class FlatVerdict:
-    flat: tuple  # member labels
-    kind: str  # "pair" | "multi"
-    residual: float
-    nu: float = None  # present exactly for multi flats
 
 
 @dataclass(frozen=True)
@@ -44,17 +35,6 @@ class VeeReport:
     nu_function: dict  # member-label tuple -> nu (multi flats only)
     decomposition: object
     form: object
-    config: object = field(compare=False, repr=False)  # the configuration checked
-
-    @cached_property
-    def per_flat(self):
-        """One FlatVerdict per flat, in the order of ``decomposition``."""
-        config, analysis = self.config, self.config.analysis
-        return tuple(
-            FlatVerdict(config.sublabels(f.members), "pair" if f.is_pair else "multi",
-                        residual, None if f.is_pair else nu)
-            for f, residual, nu in zip(self.decomposition.flats,
-                                       analysis.residuals.tolist(), analysis.nus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -117,16 +97,7 @@ def check_vee(config, rtol=None):
         nu_function=nu_function,
         decomposition=decomp,
         form=analysis.form,
-        config=config,
     )
-
-
-def nu_trace(config, flat):
-    """nu of a multi flat via the trace formula 1/2 sum |alpha|^2."""
-    members = list(flat.members) if hasattr(flat, "members") else list(flat)
-    if len(members) < 3:
-        raise NotMultiFlat(f"flat {members} has fewer than three members")
-    return 0.5 * float(np.diag(config.analysis.pairings)[members].sum())
 
 
 def solve_weights(config, rtol=None):

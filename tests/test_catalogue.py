@@ -1,7 +1,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 
 from veesys import catalogue, deform
@@ -202,15 +201,6 @@ def test_h4a1_nu_values():
     ent = catalogue.entry("H4A1")
     values = sorted(set(round(v, 10) for v in ent.nu_by_members({}).values()))
     assert values == pytest.approx(sorted([2 / 15, 1 / 10, 1 / 6, 1 / 3]))
-
-
-def test_gram_at_matches_matrix():
-    for ident in ("G3", "E8A2sqA1"):
-        ent = catalogue.entry(ident)
-        params = ent.default_grid[0] if ent.default_grid else {}
-        A = ent.matrix_at(params)
-        G = ent.gram_at(params)
-        assert np.allclose(A @ A.T, G, rtol=1e-12, atol=1e-10), ident
 
 
 @pytest.fixture

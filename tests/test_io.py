@@ -10,7 +10,7 @@ from veesys.errors import DocumentFormatError
 def test_round_trip_bit_identical(tmp_path):
     config = catalogue.construct("G3", {"t": 1.7})
     path = tmp_path / "g3.json"
-    io.save_document(config, path, parameters={"t": 1.7})
+    io.save_document(config, path)
     loaded = io.load_document(path)
     assert loaded.labels == config.labels
     # bit-identical, not merely close
@@ -33,6 +33,15 @@ def test_document_fields():
     assert doc["dimension"] == 3
     assert len(doc["covectors"]) == 15
     assert all(isinstance(x, str) for col in doc["covectors"] for x in col)
+    assert "parameters" not in doc
+
+
+def test_parameters_field_is_read_and_ignored():
+    text = '{"dimension": 1, "covectors": [["2"]], "labels": ["a"]}'
+    with_parameters = text[:-1] + ', "parameters": {"t": "1.5"}}'
+    plain, extra = parse_document(text), parse_document(with_parameters)
+    assert extra.labels == plain.labels == ("a",)
+    assert (extra.matrix == plain.matrix).all()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,13 +19,16 @@ from veesys import (
 )
 from veesys import CovectorConfiguration, matroid, projective
 from veesys.projective import cross_ratios
-from veesys.tolerances import BASIS_SINE, INFINITE_RATIO_TOL, line_tol, resolve
+from veesys.tolerances import (BASIS_SINE, BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL,
+                               INFINITE_RATIO_TOL, SIGN_COORDINATE_TOL, line_tol,
+                               resolve)
 from veesys.errors import (
     BranchRequired,
     CoincidentLines,
     DuplicatePoints,
     NotCollinear,
     ScriptFormatError,
+    StepDegenerate,
 )
 
 
@@ -277,6 +281,14 @@ def test_projective_point_normalization():
         ProjectivePoint([0, 0, 0])
 
 
+@pytest.mark.parametrize("factor, flipped", [(0.5, False), (2.0, True)])
+def test_sign_coordinate_cut(factor, flipped):
+    # a first coordinate below the cut is a zero, so the second fixes the sign
+    p = ProjectivePoint([-factor * SIGN_COORDINATE_TOL, 1.0, 0.0])
+    assert (p.coordinates[0] > 0) == flipped
+    assert (p.coordinates[1] < 0) == flipped
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -288,6 +300,8 @@ def test_projective_point_normalization():
         ("basis: 1 2 3 4\n5 = meet(1 2, 3 4)", "cannot parse"),
         ("basis: 1 2 3 4\nbranch: x^3-1 ; 5 on (1 2) at ratio (1 2 : 5 3)",
          "quadratic"),
+        ("basis: a b c d\nbranch: x^2-x-1 ; e on (a b) at ratio (a e : b c)\n",
+         "step 'branch e on (a b)': branch ratio must carry the target in its third"),
     ],
 )
 def test_script_parse_errors(text, fragment):
@@ -348,10 +362,54 @@ def test_h3_two_branches_same_matroid():
     assert max(env[l].angular_error(proj[l]) for l in config.labels) < 1e-12
 
 
-def test_reconstruction_accepts_numeric_branch():
+def _frame():
+    return [ProjectivePoint(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
+
+
+def test_branch_is_plus_or_minus():
     config, basis = catalogue.script_reference("h3")
     script = load_script(catalogue.script_path("h3"))
     proj = to_projective(config)
-    root = (1 - math.sqrt(5)) / 2
-    env = run_reconstruction(script, [proj[l] for l in basis], branch=root)
-    assert env["9"].angular_error(proj["9"]) < 1e-12
+    for branch in ((1 - math.sqrt(5)) / 2, "-0.618", "Plus"):
+        with pytest.raises(ValueError, match="'plus' or 'minus'"):
+            run_reconstruction(script, [proj[l] for l in basis], branch=branch)
+
+
+def test_degenerate_meet_is_step_degenerate():
+    script = parse_script("basis: a b c d\ne = (a b) ^ (b a)\n")
+    with pytest.raises(StepDegenerate, match=re.escape("'e = (a b) ^ (b a)'")):
+        run_reconstruction(script, _frame())
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_basis_triple_cut(factor):
+    # the triple (a, b, c) has unit determinant z; every other triple is far from 0
+    z = factor * BASIS_TRIPLE_DET
+    side = math.sqrt((1 - z * z) / 2)
+    frame = [ProjectivePoint(v)
+             for v in ([1, 0, 0], [0, 1, 0], [side, side, z], [0, 0, 1])]
+    script = parse_script("basis: a b c d\ne = (a c) ^ (b d)\n")
+    if factor < 1:
+        with pytest.raises(ValueError, match="collinear triple"):
+            run_reconstruction(script, frame)
+    else:
+        assert run_reconstruction(script, frame).keys() == {"a", "b", "c", "d", "e"}
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_degenerate_ratio_cut(factor):
+    # m = (1, 1, 0) has coordinates (s, s) on the line (p q), s = 1/sqrt(2), and
+    # placing t at cross-ratio (m p; t q) = x solves an equation with leading
+    # coefficient s (1 - x); x = 1 + delta puts it at factor times the cut
+    s = math.sqrt(0.5)
+    root = 1 + factor * DEGENERATE_RATIO_TOL / s
+    script = parse_script(
+        "basis: p q r u\nm = (p q) ^ (r u)\n"
+        f"branch: x^2-{root!r}x ; t on (p q) at ratio (m p : t q)\n")
+    assert script.branch_step.roots()[0] == root
+    if factor < 1:
+        with pytest.raises(StepDegenerate, match="ratio equation degenerate"):
+            run_reconstruction(script, _frame(), branch="plus")
+    else:
+        t = run_reconstruction(script, _frame(), branch="plus")["t"]
+        assert t.coordinates[2] == 0.0  # on the line (p q)

@@ -16,15 +16,12 @@ from veesys import (
     decompose,
     deform,
     matroid,
-    nu_trace,
     solve_weights,
     verify,
 )
-from veesys.core import analyse
-from veesys.errors import BadEmbedding, DegeneratePlane, NotMultiFlat, VeesysError
+from veesys.errors import BadEmbedding, DegeneratePlane, VeesysError
 from veesys.tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol,
                                harmonic_tol, orthogonal_pair_tol)
-from veesys.verify import FlatVerdict
 
 
 def test_check_vee_accepts_h3():
@@ -57,12 +54,6 @@ def test_nu_trace_equals_proportionality_factor():
         g, gp = pf.restricted_gram, pf.restricted_plane_gram
         lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
         assert report.nu_function[labels] == pytest.approx(lsq, rel=1e-10)
-
-
-def test_nu_trace_requires_multi_flat():
-    config = catalogue.construct("H3", {})
-    with pytest.raises(NotMultiFlat):
-        nu_trace(config, (0, 1))
 
 
 def test_weights_a3():
@@ -217,21 +208,25 @@ def _assert_planes_match_reference(name, config, vee):
     report = check_vee(config)
     assert report.is_vee_system == vee, name
     reference = _reference_planes(config)
-    assert [v.flat for v in report.per_flat] == [p[0] for p in reference], name
+    analysis = config.analysis
+    flats = [config.sublabels(f.members) for f in report.decomposition.flats]
+    assert flats == [p[0] for p in reference], name
     # one ratio per multi flat, in flat order
     ratios = [p[4] for p in reference if p[2] is not None]
-    assert config.analysis.ratios.tolist() == pytest.approx(ratios, rel=1e-12), name
+    assert analysis.ratios.tolist() == pytest.approx(ratios, rel=1e-12), name
     traces = [p[3] for p in reference if p[2] is not None]
-    assert config.analysis.multi_nus.tolist() == pytest.approx(traces, rel=1e-12), name
-    for verdict, (_, residual, lsq, trace, _) in zip(report.per_flat, reference):
+    assert analysis.multi_nus.tolist() == pytest.approx(traces, rel=1e-12), name
+    residuals, nus = analysis.residuals.tolist(), analysis.nus.tolist()
+    assert vee == all(r < DEFAULT_RTOL for r in residuals), name
+    multi = {flat: nu for flat, nu, p in zip(flats, nus, reference) if p[2] is not None}
+    assert report.nu_function == multi, name
+    planes = zip(flats, residuals, nus, reference)
+    for flat, got_residual, nu, (_, residual, lsq, trace, _) in planes:
         # residuals are relative deviations already
-        assert abs(verdict.residual - residual) <= 1e-12, (name, verdict)
-        if lsq is None:
-            assert verdict.nu is None
-            continue
-        assert verdict.nu == pytest.approx(trace, rel=1e-12), (name, verdict)
-        if report.is_vee_system:
-            assert verdict.nu == pytest.approx(lsq, rel=1e-12), (name, verdict)
+        assert abs(got_residual - residual) <= 1e-12, (name, flat)
+        assert nu == pytest.approx(trace, rel=1e-12), (name, flat)
+        if lsq is not None and report.is_vee_system:
+            assert nu == pytest.approx(lsq, rel=1e-12), (name, flat)
 
 
 def test_shared_analysis_matches_restrict_forms_reference():
@@ -272,35 +267,6 @@ def test_shared_analysis_matches_reference_on_pair_heavy_inputs():
         _assert_planes_match_reference(name, config, False)
 
 
-def _eager_per_flat(config):
-    """The per-flat verdicts built eagerly from a fresh analysis."""
-    analysis = analyse(config)
-    verdicts = []
-    for f, residual, nu in zip(analysis.decomposition.flats,
-                               analysis.residuals.tolist(), analysis.nus.tolist()):
-        labels = config.sublabels(f.members)
-        if f.is_pair:
-            verdicts.append(FlatVerdict(labels, "pair", residual))
-        else:
-            verdicts.append(FlatVerdict(labels, "multi", residual, nu))
-    return tuple(verdicts)
-
-
-def test_per_flat_matches_eager_reference():
-    rng = np.random.default_rng(99)
-    points = [catalogue.construct("H4A1", {}), catalogue.construct("F3", {"t": 1}),
-              _planted_lines(rng, 40)]
-    for config in points:
-        report = check_vee(config)
-        assert "per_flat" not in vars(report)  # built on first read only
-        nu_function, vee = report.nu_function, report.is_vee_system
-        verdicts = report.per_flat
-        assert verdicts is report.per_flat
-        assert verdicts == _eager_per_flat(config)
-        assert {v.flat: v.nu for v in verdicts if v.kind == "multi"} == nu_function
-        assert vee == all(v.residual < DEFAULT_RTOL for v in verdicts)
-
-
 def _chain(config, rtol=None):
     """The five public calls of the analysis chain, each outcome or the
     name of the error it raised."""
@@ -318,7 +284,8 @@ def _chain(config, rtol=None):
             outcome = type(exc).__name__
         if hasattr(outcome, "form"):  # a VeeReport: compare its verdicts
             outcome = (outcome.is_vee_system, outcome.max_residual,
-                       outcome.per_flat, outcome.nu_function)
+                       config.analysis.residuals.tolist(), config.analysis.nus.tolist(),
+                       outcome.nu_function)
         outcomes.append(outcome)
     return outcomes
 
