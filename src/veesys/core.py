@@ -71,8 +71,8 @@ class CovectorConfiguration:
         if not np.isfinite(matrix).all():
             raise ValueError("covector entries must be finite")
 
-        norms = np.linalg.norm(matrix, axis=0)
-        if np.any(norms == 0.0):
+        norms = np.sqrt((matrix * matrix).sum(0))
+        if (norms == 0.0).any():
             zero = [labels[i] for i in np.flatnonzero(norms == 0.0)]
             raise ValueError(f"zero covector(s) at label(s) {zero}")
 
@@ -86,7 +86,7 @@ class CovectorConfiguration:
         unit = matrix / norms
         gramlike = np.abs(unit.T @ unit)
         np.fill_diagonal(gramlike, 0.0)
-        i, j = np.unravel_index(np.argmax(gramlike), gramlike.shape)
+        i, j = divmod(int(gramlike.argmax()), n)
         # argmax hits the diagonal only when all pairs are orthogonal
         if i != j and max_minors(unit[:, i:i + 1], unit[:, j:j + 1])[0] < DEFAULT_RTOL:
             raise ValueError(f"covectors {labels[i]} and {labels[j]} are proportional")
@@ -104,7 +104,7 @@ class CovectorConfiguration:
         return self.matrix[:, index]
 
     def sublabels(self, indices):
-        return tuple(self.labels[i] for i in indices)
+        return tuple(map(self.labels.__getitem__, indices))
 
     def take(self, indices):
         """Sub-configuration of the covectors at the given 0-based indices."""
@@ -168,6 +168,20 @@ class PlaneAnalysis:
         """The nu of each multi flat, in ``decomposition.multi`` order, a view."""
         return self.nus[len(self.decomposition.pair_members):]
 
+    @cached_property
+    def deformation_products(self):
+        """The pairing products both deformation modes read, computed on
+        first read: the n x p columns P_ki P_kj of the pair flats {i, j}, and
+        per multi flat with leads a, b the n x m coefficients
+        (delta_k - nu) P_ka P_kb of xi_k in the entries (aa, ab, bb) of
+        X^Pi - nu X restricted to its dual plane."""
+        decomp, P = self.decomposition, self.pairings
+        (pair_i, pair_j), (i, j) = decomp.pair_members.T, decomp.multi_leads.T
+        weight = decomp.multi_incidence - self.multi_nus
+        Pi, Pj = P[:, i], P[:, j]
+        return P[:, pair_i] * P[:, pair_j], (weight * Pi * Pi, weight * Pi * Pj,
+                                             weight * Pj * Pj)
+
 
 def canonical_form(config):
     """Compute the canonical form G of a configuration.
@@ -212,27 +226,28 @@ def analyse(config):
     decomp = config.decomposition
     pair_i, pair_j = decomp.pair_members.T
     i, j = decomp.multi_leads.T
+    Pi, Pj, diag = P[:, i], P[:, j], np.diag(P)
 
     # entries (11, 12, 22) of the symmetric 2x2 restrictions to the multi
     # flats; the off-diagonal entry counts twice in Frobenius products
-    g = np.stack([P[i, i], P[i, j], P[j, j]])
+    g = np.array([diag[i], P[i, j], diag[j]])
     weight = np.array([[1.0], [2.0], [1.0]])
-    gp = np.stack([(decomp.multi_incidence * P[:, a] * P[:, b]).sum(0)
-                   for a, b in ((i, i), (i, j), (j, j))])
+    gp = np.array([(decomp.multi_incidence * a * b).sum(0)
+                   for a, b in ((Pi, Pi), (Pi, Pj), (Pj, Pj))])
     nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
-    g11, g22 = P[pair_i, pair_i], P[pair_j, pair_j]
+    g11, g22 = diag[pair_i], diag[pair_j]
     residuals = np.concatenate([
         np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
         np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
                           (weight * gp * gp).sum(0))),
     ])
-    nus = 0.5 * np.concatenate([g11 + g22, np.diag(P) @ decomp.multi_incidence])
+    nus = 0.5 * np.concatenate([g11 + g22, diag @ decomp.multi_incidence])
 
     duals = form.gram_inverse @ config.matrix
     u, v = duals[:, i], duals[:, j]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
-                       np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0))
+                       np.sqrt((u * u).sum(0)) * np.sqrt((v * v).sum(0)))
     for shared in (P, residuals, nus, ratios):
         shared.setflags(write=False)
     return PlaneAnalysis(form, P, decomp, residuals, nus, ratios,

@@ -61,21 +61,18 @@ def _assemble_rows(analysis, mode):
     (X^Pi - nu X) restricted to its dual plane: all three in fixedNu mode,
     their proportionality to the restricted G (g11, g12, g22) in freeNu mode.
     """
-    decomp = analysis.decomposition
-    P = analysis.pairings
-    pair_i, pair_j = decomp.pair_members.T
-    i, j = decomp.multi_leads.T
-    # coefficients of xi in X^Pi - nu X
-    weight = decomp.multi_incidence - analysis.multi_nus
-    m11, m12, m22 = (weight * P[:, a] * P[:, b] for a, b in ((i, i), (i, j), (j, j)))
+    pair_rows, (m11, m12, m22) = analysis.deformation_products  # shared by the modes
     if mode == FREE_NU:
         # proportionality to (g11, g12, g22), free factor eliminated
+        P = analysis.pairings
+        i, j = analysis.decomposition.multi_leads.T
         g11, g12, g22 = P[i, i], P[i, j], P[j, j]
         equations = (m11 * g12 - m12 * g11, m11 * g22 - m22 * g11)
     else:
         equations = (m11, m12, m22)
-    rows = np.stack(equations, axis=2).reshape(decomp.n, -1)  # flat by flat
-    return np.hstack([P[:, pair_i] * P[:, pair_j], rows]).T
+    # flat by flat: each covector's coefficients in a multi flat's equations side by side
+    rows = np.array(equations).transpose(1, 2, 0).reshape(len(pair_rows), -1)
+    return np.concatenate([pair_rows, rows], axis=1).T
 
 
 def build_system(config, mode=FREE_NU, rtol=None):
@@ -97,21 +94,22 @@ def build_system(config, mode=FREE_NU, rtol=None):
 
     svals = np.linalg.svd(matrix, compute_uv=False)
     threshold = svals[0] * RANK_RTOL * max(matrix.shape)
-    rank = int(np.sum(svals > threshold))
+    rank = int(np.count_nonzero(svals > threshold))
     # the kept margin: how far the smallest kept value clears the threshold
     gap = float(svals[rank - 1] / threshold) if rank else float("inf")
     return DeformationSystem(mode, matrix, rank, config.n - rank, svals, gap)
 
 
-def _is_connected_through_multi_flats(analysis):
+def _is_connected_through_multi_flats(decomposition):
     """Whether every covector is reached from the first through shared multi flats."""
-    multi = analysis.decomposition.multi_incidence
-    reached = np.arange(len(multi)) == 0
-    while True:
-        grown = reached | multi[:, multi[reached].any(0)].any(1)
-        if (grown == reached).all():
-            return bool(reached.all())
-        reached = grown
+    reached, grown = {0}, True
+    while grown:
+        grown = False
+        for members in decomposition.multi:
+            if not reached.isdisjoint(members) and not reached.issuperset(members):
+                reached.update(members)
+                grown = True
+    return len(reached) == decomposition.n
 
 
 def rigidity_test(config, rtol=None):
@@ -122,7 +120,7 @@ def rigidity_test(config, rtol=None):
     share no multi flat (direct sums deform componentwise).
     """
     tol = resolve(rtol)
-    if not _is_connected_through_multi_flats(plane_analysis(config, tol)):
+    if not _is_connected_through_multi_flats(plane_analysis(config, tol).decomposition):
         raise Reducible("configuration is disconnected across multi flats")
     system = build_system(config, FIXED_NU, rtol=tol)
     ones = np.ones(config.n) / np.sqrt(config.n)

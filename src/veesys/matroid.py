@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -164,20 +164,29 @@ def _enumerate_flats(config):
     if r > 3:
         raise RankTooHigh(f"flat enumeration supports rank <= 3, got {r}")
 
-    unit = config.matrix / np.linalg.norm(config.matrix, axis=0)
+    unit = config.matrix / np.sqrt((config.matrix * config.matrix).sum(0))
     if r < 3:  # embedded in rank 3, where all its triples are coplanar
         unit = np.vstack([unit, np.zeros((3 - r, n))])
 
     # Row p of dets holds det(u_i, u_j, u_k) = (u_i x u_j) . u_k for the
     # p-th pair i < j and every k, i and j included.
-    k = np.arange(n)
-    ends = np.argwhere(np.less.outer(k, k))  # np.triu_indices order, at a third of its cost
+    ends = _pair_ends(n)
     first, second = ends.T
     x, y = unit.T[:, [1, 2, 0]], unit.T[:, [2, 0, 1]]  # rolled coordinates
     dets = (x[first] * y[second] - y[first] * x[second]) @ unit
     np.abs(dets, out=dets)  # in place: the largest array of the call
     pair_members, multi, incidence = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
     return FlatDecomposition(n, multi, pair_members, incidence)
+
+
+@lru_cache(maxsize=64)
+def _pair_ends(n):
+    """The pairs i < j of n covectors, a read-only (C(n, 2), 2) array in
+    np.triu_indices order, kept for the 64 most recent n."""
+    k = np.arange(n)
+    ends = np.argwhere(np.less.outer(k, k))  # triu_indices order, at a third of its cost
+    ends.setflags(write=False)
+    return ends
 
 
 def _read_rows(hits, ends, labels):
@@ -195,12 +204,12 @@ def _read_rows(hits, ends, labels):
     and the flats hold the C(n, 2) pairs between them.
     """
     n = hits.shape[1]
-    counts = np.count_nonzero(hits, axis=1)
+    counts = hits.sum(1)
     is_pair = counts == 2
     pair_members = ends[is_pair]
     pair_members.setflags(write=False)
 
-    rows = np.flatnonzero(counts > 2)
+    rows = (counts > 2).nonzero()[0]
     on_row = hits[rows]
     a = on_row.argmax(1)
     b = (on_row & (np.arange(n) > a[:, None])).argmax(1)
@@ -224,7 +233,7 @@ def _read_rows(hits, ends, labels):
     # so sorting them by size alone gives the (size, members) order.
     order = np.argsort(sizes, kind="stable")
     heads, sizes = heads[order], sizes[order].tolist()
-    incidence = hits[np.concatenate([np.flatnonzero(is_pair), heads])].T.copy()
+    incidence = hits[np.concatenate([is_pair.nonzero()[0], heads])].T.copy()
     incidence.setflags(write=False)
     members = np.nonzero(incidence[:, len(pair_members):].T)[1].tolist()
     multi = tuple(tuple(members[stop - size:stop])

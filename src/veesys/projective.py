@@ -13,8 +13,9 @@ Script file grammar (one record per line, '#' comments allowed)::
     branch: x^2-x-1 ; T on (P Q) at ratio (A B : T D)
 
 Records execute in file order; every label on the right-hand side of a
-record must already be defined when the record runs, and a branch ratio
-carries its target in the third slot.
+record must already be defined when the record runs.  A script holds at
+most one branch record; its ratio carries the target in the third slot,
+and the ratio's other points lie on line (P Q).
 """
 
 from __future__ import annotations
@@ -218,10 +219,7 @@ class ReconstructionScript:
 
     @property
     def branch_step(self):
-        for s in self.items:
-            if isinstance(s, BranchStep):
-                return s
-        return None
+        return next((s for s in self.items if isinstance(s, BranchStep)), None)
 
 
 _STEP_RE = re.compile(
@@ -266,6 +264,8 @@ def parse_script(text):
             continue
         m = _BRANCH_RE.match(line)
         if m:
+            if any(isinstance(item, BranchStep) for item in items):
+                raise ScriptFormatError(f"line {lineno}: second branch record")
             p, q = _parse_quadratic(m.group("eq").strip())
             items.append(
                 BranchStep(
@@ -310,17 +310,25 @@ def load_script(path):
         return parse_script(handle.read())
 
 
-def _place_by_ratio(step, env, branch_root):
-    """Solve the branch step: point on line(P, Q) with prescribed ratio."""
+def _place_by_ratio(step, env, branch_root, tol):
+    """Solve the branch step: point on line(P, Q) with prescribed ratio.
+
+    Raises NotCollinear when a point of the ratio lies off line(P, Q) by
+    more than ``collinear_tol``, as ``cross_ratios`` does."""
     P = env[step.line_pair[0]]
     Q = env[step.line_pair[1]]
     basis = np.column_stack([P.coordinates, Q.coordinates])
+    a, b, _, d = step.ratio_order
+    line = _line(P, Q, line_tol(tol))
+    for label in (a, b, d):
+        off = abs(env[label].coordinates @ line)
+        if off > collinear_tol(tol):
+            raise NotCollinear(f"step '{step}': point {label} off the line by {off:.2e}")
 
     def coords(label):
         c, *_ = np.linalg.lstsq(basis, env[label].coordinates, rcond=None)
         return c
 
-    a, b, _, d = step.ratio_order
     xa, ya = coords(a)
     xb, yb = coords(b)
     xd, yd = coords(d)
@@ -354,24 +362,20 @@ def run_reconstruction(script, basis_points, branch=None, rtol=None):
 
     env = dict(zip(script.basis_labels, basis_points))
     for item in script.items:
-        if isinstance(item, Step):
-            try:
-                env[item.target] = meet(
-                    env[item.left[0]],
-                    env[item.left[1]],
-                    env[item.right[0]],
-                    env[item.right[1]],
-                    rtol=rtol,
-                )
-            except CoincidentLines as exc:
-                raise StepDegenerate(str(item), str(exc)) from exc
-        else:
-            if branch is None:
-                raise BranchRequired(
-                    f"script has branch equation x^2{item.p:+g}x{item.q:+g}; "
-                    "choose a branch"
-                )
-            plus, minus = item.roots()
-            root = plus if branch == "plus" else minus
-            env[item.target] = _place_by_ratio(item, env, root)
+        if isinstance(item, BranchStep) and branch is None:
+            raise BranchRequired(
+                f"script has branch equation x^2{item.p:+g}x{item.q:+g}; "
+                "choose a branch"
+            )
+        try:  # a line through two coincident points fails either kind of step
+            if isinstance(item, Step):
+                env[item.target] = meet(env[item.left[0]], env[item.left[1]],
+                                        env[item.right[0]], env[item.right[1]],
+                                        rtol=rtol)
+            else:
+                plus, minus = item.roots()
+                root = plus if branch == "plus" else minus
+                env[item.target] = _place_by_ratio(item, env, root, resolve(rtol))
+        except CoincidentLines as exc:
+            raise StepDegenerate(str(item), str(exc)) from exc
     return env

@@ -71,7 +71,7 @@ def plane_analysis(config, rtol=None):
     """
     tol = resolve(rtol)
     analysis = config.analysis
-    degenerate = np.flatnonzero(analysis.ratios < tol)
+    degenerate = (analysis.ratios < tol).nonzero()[0]
     if len(degenerate):
         i, j = analysis.decomposition.multi[degenerate[0]][:2]
         raise DegeneratePlane(
@@ -129,7 +129,7 @@ def solve_weights(config, rtol=None):
 # The six member pairs of a 4-flat in itertools.combinations order, and per
 # pair the quad order (the other two members, then the pair).
 _QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
-_QUAD_FIRST, _QUAD_SECOND = (list(side) for side in zip(*_QUAD_PAIRS))
+_QUAD_FIRST, _QUAD_SECOND = np.array(_QUAD_PAIRS).T
 _QUAD_ORDERS = np.array([[m for m in range(4) if m not in pair] + list(pair)
                          for pair in _QUAD_PAIRS])
 

@@ -189,3 +189,84 @@ def test_callers_leave_the_kernel_basis_unread(monkeypatch):
     scan_family("D3")
     assert len(built) == 4 + 2 * len(catalogue.entry("D3").default_grid)
     assert not [system for system in built if "kernel_basis" in vars(system)]
+
+
+def _reference_analysis(config):
+    """Every PlaneAnalysis array assembled from scratch: G, G^{-1}, P, the
+    residuals, the nus and the ratios, in the arithmetic order of the
+    per-flat formulas."""
+    A = config.matrix
+    G = A @ A.T
+    G = 0.5 * (G + G.T)
+    G_inv = np.linalg.inv(G)
+    G_inv = 0.5 * (G_inv + G_inv.T)
+    P = A.T @ G_inv @ A
+    P = 0.5 * (P + P.T)
+    decomp = config.decomposition
+    pair_i, pair_j = decomp.pair_members.T
+    i, j = decomp.multi_leads.T
+    incidence = decomp.multi_incidence
+    g = np.stack([P[i, i], P[i, j], P[j, j]])
+    weight = np.array([[1.0], [2.0], [1.0]])
+    gp = np.stack([(incidence * P[:, a] * P[:, b]).sum(0) for a, b in ((i, i), (i, j), (j, j))])
+    num, den = (weight * gp * g).sum(0), (weight * g * g).sum(0)
+    nu_lsq = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    num, den = (weight * (gp - nu_lsq * g) ** 2).sum(0), (weight * gp * gp).sum(0)
+    g11, g22 = P[pair_i, pair_i], P[pair_j, pair_j]
+    residuals = np.concatenate([
+        np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
+        np.sqrt(np.divide(num, den, out=np.zeros_like(num), where=den > 0))])
+    nus = 0.5 * np.concatenate([g11 + g22, np.diag(P) @ incidence])
+    duals = G_inv @ A
+    u, v = duals[:, i], duals[:, j]
+    wedge = u[:, None] * v[None] - v[:, None] * u[None]
+    num = np.sqrt((wedge ** 2).sum((0, 1)))
+    den = np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)
+    ratios = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return {"gram": G, "gram_inverse": G_inv, "pairings": P, "residuals": residuals,
+            "nus": nus, "ratios": ratios}
+
+
+def _reference_rows(config, mode):
+    """The deformation equations of ``mode`` assembled from scratch."""
+    analysis = config.analysis
+    decomp, P = analysis.decomposition, analysis.pairings
+    pair_i, pair_j = decomp.pair_members.T
+    i, j = decomp.multi_leads.T
+    weight = decomp.multi_incidence - analysis.multi_nus
+    m11, m12, m22 = (weight * P[:, a] * P[:, b] for a, b in ((i, i), (i, j), (j, j)))
+    if mode == FREE_NU:
+        g11, g12, g22 = P[i, i], P[i, j], P[j, j]
+        equations = (m11 * g12 - m12 * g11, m11 * g22 - m22 * g11)
+    else:
+        equations = (m11, m12, m22)
+    rows = np.stack(equations, axis=2).reshape(decomp.n, -1)
+    return np.hstack([P[:, pair_i] * P[:, pair_j], rows]).T
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_analysis_and_deformation_matrices_match_a_from_scratch_assembly():
+    """At the 37 grid points every PlaneAnalysis array and both modes'
+    deformation matrices equal the reference bit for bit, whichever mode is
+    built first from the shared products."""
+    grid = [(ident, params) for ident in catalogue.ids()
+            for params in catalogue.entry(ident).default_grid]
+    assert len(grid) == 37
+    for k, (ident, params) in enumerate(grid):
+        config = catalogue.construct(ident, params)
+        analysis = config.analysis
+        for name, expected in _reference_analysis(config).items():
+            got = getattr(analysis.form if name.startswith("gram") else analysis, name)
+            assert _bitwise_equal(got, expected), (ident, params, name)
+        assert analysis.max_residual == analysis.residuals.max(initial=0.0)
+        modes = (FREE_NU, FIXED_NU) if k % 2 else (FIXED_NU, FREE_NU)
+        for mode in modes:
+            rows = _reference_rows(config, mode)
+            assert _bitwise_equal(deform._assemble_rows(analysis, mode), rows), (ident, mode)
+            norms = np.sqrt((rows * rows).sum(axis=1))
+            keep = norms > norms.max() * ROW_DROP_RTOL
+            expected = rows[keep] / norms[keep, None]
+            assert _bitwise_equal(build_system(config, mode).matrix, expected), (ident, mode)

@@ -302,6 +302,9 @@ def test_sign_coordinate_cut(factor, flipped):
          "quadratic"),
         ("basis: a b c d\nbranch: x^2-x-1 ; e on (a b) at ratio (a e : b c)\n",
          "step 'branch e on (a b)': branch ratio must carry the target in its third"),
+        ("basis: a b c d\nbranch: x^2-x-1 ; e on (a b) at ratio (c a : e b)\n"
+         "branch: x^2-x-1 ; f on (a b) at ratio (c a : f b)\n",
+         "line 3: second branch record"),
     ],
 )
 def test_script_parse_errors(text, fragment):
@@ -381,6 +384,12 @@ def test_degenerate_meet_is_step_degenerate():
         run_reconstruction(script, _frame())
 
 
+def test_branch_on_coincident_points_is_step_degenerate():
+    script = parse_script("basis: p q r u\nbranch: x^2-3x+2 ; t on (p p) at ratio (u p : t q)\n")
+    with pytest.raises(StepDegenerate, match=re.escape("'branch t on (p p)'")):
+        run_reconstruction(script, _frame(), branch="plus")
+
+
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_basis_triple_cut(factor):
     # the triple (a, b, c) has unit determinant z; every other triple is far from 0
@@ -413,3 +422,25 @@ def test_degenerate_ratio_cut(factor):
     else:
         t = run_reconstruction(script, _frame(), branch="plus")["t"]
         assert t.coordinates[2] == 0.0  # on the line (p q)
+
+
+# the branch script of the off-line ratio point: u must lie on the line (p q)
+OFF_LINE_SCRIPT = "basis: p q r u\nbranch: x^2-3x+2 ; t on (p q) at ratio (u p : t q)\n"
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_branch_ratio_points_must_lie_on_the_line(rtol, factor):
+    """u at height factor * collinear_tol above the line (p q), the plane
+    z = 0: placed below the cut, NotCollinear above it."""
+    height = factor * max(rtol * 1000, 1e-8)
+    side = math.sqrt((1 - height * height) / 2)
+    frame = _frame()[:3] + [ProjectivePoint([side, side, height])]
+    script = parse_script(OFF_LINE_SCRIPT)
+    if factor < 1:
+        t = run_reconstruction(script, frame, branch="plus", rtol=rtol)["t"]
+        assert t.coordinates[2] == 0.0  # on the line (p q)
+    else:
+        with pytest.raises(NotCollinear, match=r"^step 'branch t on \(p q\)': point u off"):
+            run_reconstruction(script, frame, branch="plus", rtol=rtol)
+
