@@ -5,80 +5,68 @@ conditions of finite covector systems, computes their nu-functions and
 weight relations, analyses linearised scaling deformations, reconstructs
 configurations projectively from scripts, and ships a verified catalogue
 of three-dimensional systems with their extension/degeneration relations.
+
+The public names below and the submodules are imported on first access
+(PEP 562), so a process loads only the modules it uses: ``import
+veesys.cli`` loads neither numpy nor any module a command does not run.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    CanonicalForm,
-    CovectorConfiguration,
-    canonical_form,
-)
-from .deform import (
-    FIXED_NU,
-    FREE_NU,
-    DeformationSystem,
-    build_system,
-    rigidity_test,
-    scan_family,
-)
-from .errors import VeesysError
-from .io import load_document, parse_document, save_document
-from .matroid import (
-    FlatDecomposition,
-    decompose,
-    fingerprint,
-    same_matroid,
-)
-from .projective import (
-    ProjectivePoint,
-    cross_ratio,
-    load_script,
-    meet,
-    parse_script,
-    run_reconstruction,
-    to_projective,
-)
-from .tolerances import DEFAULT_RTOL
-from .verify import (
-    ExtensionReport,
-    VeeReport,
-    check_extension,
-    check_harmonic,
-    check_vee,
-    solve_weights,
-)
+# public name -> the submodule that defines it, in __all__ order
+_HOMES = {
+    "CanonicalForm": "core",
+    "CovectorConfiguration": "core",
+    "DeformationSystem": "deform",
+    "ExtensionReport": "verify",
+    "FIXED_NU": "deform",
+    "FREE_NU": "deform",
+    "FlatDecomposition": "matroid",
+    "ProjectivePoint": "projective",
+    "VeeReport": "verify",
+    "VeesysError": "errors",
+    "DEFAULT_RTOL": "tolerances",
+    "build_system": "deform",
+    "canonical_form": "core",
+    "check_extension": "verify",
+    "check_harmonic": "verify",
+    "check_vee": "verify",
+    "cross_ratio": "projective",
+    "decompose": "matroid",
+    "fingerprint": "matroid",
+    "load_document": "io",
+    "load_script": "projective",
+    "meet": "projective",
+    "parse_document": "io",
+    "parse_script": "projective",
+    "rigidity_test": "deform",
+    "run_reconstruction": "projective",
+    "same_matroid": "matroid",
+    "save_document": "io",
+    "scan_family": "deform",
+    "solve_weights": "verify",
+    "to_projective": "projective",
+}
 
-__all__ = [
-    "CanonicalForm",
-    "CovectorConfiguration",
-    "DeformationSystem",
-    "ExtensionReport",
-    "FIXED_NU",
-    "FREE_NU",
-    "FlatDecomposition",
-    "ProjectivePoint",
-    "VeeReport",
-    "VeesysError",
-    "DEFAULT_RTOL",
-    "build_system",
-    "canonical_form",
-    "check_extension",
-    "check_harmonic",
-    "check_vee",
-    "cross_ratio",
-    "decompose",
-    "fingerprint",
-    "load_document",
-    "load_script",
-    "meet",
-    "parse_document",
-    "parse_script",
-    "rigidity_test",
-    "run_reconstruction",
-    "same_matroid",
-    "save_document",
-    "scan_family",
-    "solve_weights",
-    "to_projective",
-]
+_SUBMODULES = frozenset({
+    "catalogue", "cli", "core", "deform", "digests", "errors", "expressions",
+    "io", "matroid", "projective", "tolerances", "verify",
+})
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value  # later reads skip this hook
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

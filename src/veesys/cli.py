@@ -15,22 +15,25 @@ writes every report as text, deterministic for a fixed input and tolerance:
 - a trailing ``# elapsed: …s`` comment, the only line that varies.
 
 Exit codes: 0 = pass, 1 = semantic failure (checks ran and failed), 2 =
-usage, parse or admissibility error (any VeesysError, which the command
-group turns into ``error: ...`` on stderr).  ``--rtol`` is kept in the
-click context and passed to every check a command calls.
+usage, parse or admissibility error: argparse's ``usage:`` and ``error:``
+lines on stderr, or any VeesysError, which ``main`` writes as
+``error: ...`` on stderr.  ``--rtol`` goes before the command and is passed
+to every check the command calls.
+
+Each command imports the library modules it runs in its own body, so a call
+loads those alone, and numpy only when one of them needs it.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import re
 import sys
 import time
 
-import click
-
-from . import __version__, catalogue, deform, digests, io, matroid, verify
+from . import __version__
 from .errors import VeesysError
-from .projective import load_script, run_reconstruction, to_projective
 from .tolerances import RECONSTRUCTION_TOL, resolve
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -39,6 +42,14 @@ PASS, FAIL, USAGE = 0, 1, 2
 SCIENTIFIC = frozenset(
     {"rtol", "maxResidual", "residual", "spectralGap", "angularError", "maxAngularError"}
 )
+
+# the shipped reconstruction scripts, sorted(catalogue.SCRIPT_REFERENCES),
+# written out so that building the parser loads no catalogue
+SCRIPTS = ("a3", "b3", "h3", "h4a1")
+
+
+class UsageError(Exception):
+    """Command arguments that do not fit together; exit 2 with the usage."""
 
 
 def _word(field, value):
@@ -70,7 +81,7 @@ def _write(command, source, rtol, body, elapsed, out):
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _parse_params(text):
@@ -79,15 +90,18 @@ def _parse_params(text):
         return params
     for item in text.split(","):
         key, sep, value = item.partition("=")
-        if not sep or not key.strip():
-            raise click.UsageError(f"--params entry {item!r} is not k=v")
+        key = key.strip()
+        if not sep or not key:
+            raise UsageError(f"--params entry {item!r} is not k=v")
+        if key in params:
+            raise UsageError(f"--params key {key!r} is given twice")
         try:
             number = float(value)
         except ValueError:
-            raise click.UsageError(f"--params value {value!r} is not a number")
+            raise UsageError(f"--params value {value!r} is not a number")
         if not math.isfinite(number):
-            raise click.UsageError(f"--params value {value!r} is not finite")
-        params[key.strip()] = number
+            raise UsageError(f"--params value {value!r} is not finite")
+        params[key] = number
     return params
 
 
@@ -98,81 +112,111 @@ def _spec(params):
 def _open(path, catalogue_id, params_text):
     """The input configuration of a command and its report's input line."""
     if (path is None) == (catalogue_id is None):
-        raise click.UsageError("give exactly one of INPUT or --catalogue")
+        raise UsageError("give exactly one of INPUT or --catalogue")
     if path is not None:
+        from . import digests, io
+
         data = io.read_document(path)
         config = io.parse_document(data)
         return config, f"{path} sha256:{digests.sha256(data).hexdigest()[:16]}"
+    from . import catalogue
+
     params = _parse_params(params_text)
     config = catalogue.construct(catalogue_id, params)
     return config, f"catalogue:{catalogue_id}({_spec(params)})"
 
 
 def _data_source():
+    from . import catalogue
+
     return f"data sha256:{catalogue.checksum()[:16]}"
 
 
-class CommandGroup(click.Group):
-    """Reports a VeesysError from any subcommand as ``error: ...``, exit 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except VeesysError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(USAGE)
+# command title ("name" or "catalogue name") -> (fn, configuration, arguments)
+COMMANDS = {}
 
 
-@click.group(cls=CommandGroup)
-@click.option("--rtol", type=float, default=None, help="relative tolerance")
-@click.version_option(__version__)
-@click.pass_context
-def main(ctx, rtol):
-    """Verification and deformation analysis of covector configurations."""
-    if rtol is not None and not (rtol > 0 and math.isfinite(rtol)):
-        raise click.UsageError(f"rtol must be positive and finite, got {rtol}")
-    ctx.obj = rtol
+def argument(*flags, **settings):
+    """One ``add_argument`` call of a command, for ``report_command``."""
+    return flags, settings
 
 
-def report_command(group, name, configuration=True):
-    """Register ``fn(rtol, **options)`` as the command ``name`` of ``group``.
+def report_command(title, *arguments, configuration=True):
+    """Register ``fn(rtol, **options)`` as the command ``title``.
 
-    ``fn`` returns ``(passed, input line, body)``; the command writes the
+    ``fn`` returns ``(passed, input line, body)``; ``main`` writes the
     report to stdout or ``--out`` and exits 0 if it passed, else 1.  A
     configuration command takes INPUT, --catalogue and --params, then
-    --out, before its own parameters; any other command takes --out after
-    them.
+    --out, before its own ``arguments``; any other command takes --out
+    after them.
     """
-    title = name if group is main else f"{group.name} {name}"
-
     def decorate(fn):
-        @click.pass_obj
-        def run(rtol, out, **options):
-            started = time.monotonic()
-            passed, source, body = fn(rtol, **options)
-            _write(title, source, rtol, body, time.monotonic() - started, out)
-            sys.exit(PASS if passed else FAIL)
-
-        own = list(reversed(fn.__dict__.get("__click_params__", [])))
-        out = click.Option(["--out"], help="write the report here")
-        params = [*own, out]
-        if configuration:
-            params = [
-                click.Argument(["input"], required=False, type=click.Path()),
-                click.Option(["--catalogue", "catalogue_id"],
-                             help="catalogue family id"),
-                click.Option(["--params", "params_text"], default="",
-                             help="family parameters k=v[,k=v]"),
-                out, *own,
-            ]
-        return group.command(name, params=params, help=fn.__doc__)(run)
+        COMMANDS[title] = (fn, configuration, arguments)
+        return fn
 
     return decorate
 
 
-@report_command(main, "verify")
+def _parser():
+    parser = argparse.ArgumentParser(prog="veesys", description=main.__doc__,
+                                     allow_abbrev=False)
+    parser.add_argument("--rtol", type=float, help="relative tolerance")
+    # argparse takes "-1e-3" or "-inf" for an option, not for the value of
+    # --rtol; as negative numbers (Python 3.14's pattern, and -inf) they
+    # reach the rtol check, which names them
+    parser._negative_number_matcher = re.compile(r"-\.?\d|-inf$")
+    parser.add_argument("--version", action="version", version=f"veesys {__version__}")
+    top = parser.add_subparsers(metavar="COMMAND", required=True)
+    doc = "Inspect and verify the shipped catalogue."
+    catalogue = top.add_parser("catalogue", help=doc, description=doc, allow_abbrev=False)
+    commands = {"": top,
+                "catalogue": catalogue.add_subparsers(metavar="COMMAND", required=True)}
+    out = argument("--out", metavar="FILE", help="write the report here")
+    for title, (fn, configuration, own) in COMMANDS.items():
+        group, _, name = title.rpartition(" ")
+        command = commands[group].add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                             allow_abbrev=False)
+        arguments = [*own, out]
+        if configuration:
+            arguments = [
+                argument("input", nargs="?", metavar="INPUT"),
+                argument("--catalogue", dest="catalogue_id", metavar="ID",
+                         help="catalogue family id"),
+                argument("--params", dest="params_text", default="", metavar="K=V,...",
+                         help="family parameters k=v[,k=v]"),
+                out, *own,
+            ]
+        for flags, settings in arguments:
+            command.add_argument(*flags, **settings)
+        command.set_defaults(command=(title, fn, command))
+    return parser
+
+
+def main(argv=None):
+    """Verification and deformation analysis of covector configurations."""
+    parser = _parser()
+    options = vars(parser.parse_args(argv))
+    rtol, out = options.pop("rtol"), options.pop("out")
+    title, fn, command = options.pop("command")
+    if rtol is not None and not (rtol > 0 and math.isfinite(rtol)):
+        parser.error(f"rtol must be positive and finite, got {rtol}")
+    started = time.monotonic()
+    try:
+        passed, source, body = fn(rtol, **options)
+    except UsageError as exc:
+        command.error(str(exc))
+    except VeesysError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(USAGE)
+    _write(title, source, rtol, body, time.monotonic() - started, out)
+    sys.exit(PASS if passed else FAIL)
+
+
+@report_command("verify")
 def cmd_verify(rtol, input, catalogue_id, params_text):
     """Check the orthogonality/proportionality conditions plane by plane."""
+    from . import verify
+
     config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
     residuals, nus = config.analysis.residuals.tolist(), config.analysis.nus.tolist()
@@ -187,9 +231,11 @@ def cmd_verify(rtol, input, catalogue_id, params_text):
     ]
 
 
-@report_command(main, "matroid")
+@report_command("matroid")
 def cmd_matroid(rtol, input, catalogue_id, params_text):
     """Print the rank-2 flat decomposition and its fingerprint."""
+    from . import matroid
+
     config, source = _open(input, catalogue_id, params_text)
     decomp = matroid.decompose(config)
     flats = [(config.sublabels(f.members), {"size": f.size}) for f in decomp.flats]
@@ -200,17 +246,21 @@ def cmd_matroid(rtol, input, catalogue_id, params_text):
     ]
 
 
-@report_command(main, "nu")
+@report_command("nu")
 def cmd_nu(rtol, input, catalogue_id, params_text):
     """Print the nu-function on the multi flats."""
+    from . import verify
+
     config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
     return vee.is_vee_system, source, [("nu", sorted(vee.nu_function.items()))]
 
 
-@report_command(main, "weights")
+@report_command("weights")
 def cmd_weights(rtol, input, catalogue_id, params_text):
     """Solve the per-covector weight system and print the universal value."""
+    from . import verify
+
     config, source = _open(input, catalogue_id, params_text)
     solution = verify.solve_weights(config, rtol=rtol)
     body = [("status", solution.status)]
@@ -220,9 +270,11 @@ def cmd_weights(rtol, input, catalogue_id, params_text):
     return solution.status != "infeasible", source, body
 
 
-@report_command(main, "harmonic")
+@report_command("harmonic")
 def cmd_harmonic(rtol, input, catalogue_id, params_text):
     """Cross-ratio check on all 4-member flats (expected value -1)."""
+    from . import verify
+
     config, source = _open(input, catalogue_id, params_text)
     records = verify.check_harmonic(config, rtol=rtol)
     all_ok = all(r.verdict for r in records)
@@ -235,15 +287,19 @@ def cmd_harmonic(rtol, input, catalogue_id, params_text):
     ]
 
 
-@report_command(main, "deform")
-@click.option("--mode", type=click.Choice(["free", "fixed"]), default="free")
-@click.option("--grid", "grid_flag", is_flag=True,
-              help="scan the family's default parameter grid")
+@report_command(
+    "deform",
+    argument("--mode", choices=("free", "fixed"), default="free"),
+    argument("--grid", dest="grid_flag", action="store_true",
+             help="scan the family's default parameter grid"),
+)
 def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag):
     """Corank analysis of the linearised deformation system."""
+    from . import deform
+
     if grid_flag:
         if catalogue_id is None or input is not None or params_text:
-            raise click.UsageError("--grid takes --catalogue only, no INPUT or --params")
+            raise UsageError("--grid takes --catalogue only, no INPUT or --params")
         rows = deform.scan_family(catalogue_id, rtol=rtol)
         grid = [(f"({_spec(row['parameters'])})", row.get("error") or {
                     "freeNu": row["freeNuCorank"], "fixedNu": row["fixedNuCorank"]})
@@ -260,11 +316,17 @@ def cmd_deform(rtol, input, catalogue_id, params_text, mode, grid_flag):
     ]
 
 
-@report_command(main, "reconstruct", configuration=False)
-@click.argument("name", type=click.Choice(sorted(catalogue.SCRIPT_REFERENCES)))
-@click.option("--branch", type=click.Choice(["plus", "minus"]), default=None)
+@report_command(
+    "reconstruct",
+    argument("name", choices=SCRIPTS, metavar="NAME", help="one of %(choices)s"),
+    argument("--branch", choices=("plus", "minus")),
+    configuration=False,
+)
 def cmd_reconstruct(rtol, name, branch):
     """Run a shipped reconstruction script against its reference system."""
+    from . import catalogue
+    from .projective import load_script, run_reconstruction, to_projective
+
     config, basis = catalogue.script_reference(name)
     script = load_script(catalogue.script_path(name))
     reference = to_projective(config)
@@ -282,23 +344,22 @@ def cmd_reconstruct(rtol, name, branch):
     ]
 
 
-@main.group("catalogue")
-def cmd_catalogue():
-    """Inspect and verify the shipped catalogue."""
-
-
-@report_command(cmd_catalogue, "list", configuration=False)
+@report_command("catalogue list", configuration=False)
 def catalogue_list(rtol):
     """List the catalogue families and their parameter specs."""
+    from . import catalogue
+
     entries = [(ent.id, {"name": repr(ent.name), "n": ent.n,
                          "parameters": ",".join(ent.parameters) or "-"})
                for ent in map(catalogue.entry, catalogue.ids())]
     return True, _data_source(), [("entries", entries)]
 
 
-@report_command(cmd_catalogue, "relations", configuration=False)
+@report_command("catalogue relations", configuration=False)
 def catalogue_relations(rtol):
     """List the shipped extension and degeneration records."""
+    from . import catalogue
+
     body = []
     for kind in ("extension", "degeneration"):
         rows = catalogue.relations(kind)
@@ -314,11 +375,16 @@ def _status(check):
     return "pass" if check.passed else "FAIL " + "; ".join(check.failures)
 
 
-@report_command(cmd_catalogue, "verify-all", configuration=False)
-@click.option("--strict", is_flag=True,
-              help="exclude flagged relation rows from the run")
+@report_command(
+    "catalogue verify-all",
+    argument("--strict", action="store_true",
+             help="exclude flagged relation rows from the run"),
+    configuration=False,
+)
 def catalogue_verify_all(rtol, strict):
     """Verify every entry on its default grid and every relation row."""
+    from . import catalogue
+
     entries = [(f"{ident}({_spec(params)})",
                 catalogue.verify_entry(ident, params, rtol=rtol))
                for ident in catalogue.ids()

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import max_minors
 from .errors import BadEmbedding, DegeneratePlane
-from .projective import cross_ratios
 from .tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol, harmonic_tol,
                          orthogonal_pair_tol, resolve)
 
@@ -143,8 +142,8 @@ def check_harmonic(config, rtol=None):
     In a harmonic range one orthogonal pair forces the complementary pair to
     be orthogonal as well, so quads normally carry two orthogonal pairs
     ("two orthogonals"); the count is noted, the verdict only requires the
-    cross-ratio.  Without a 4-flat there are no records, and no cross-ratio
-    is computed.
+    cross-ratio.  Without a 4-flat there are no records, no cross-ratio is
+    computed and ``projective`` is not imported.
     """
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
@@ -152,6 +151,7 @@ def check_harmonic(config, rtol=None):
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
     if not quads:
         return []
+    from .projective import cross_ratios  # the script machinery loads only here
     members = np.array(quads, dtype=int)
     I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
     # normalised by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0

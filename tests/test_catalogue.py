@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from veesys import catalogue, deform
@@ -159,6 +161,45 @@ def test_nu_oracle_cut(monkeypatch, factor, passed):
         [failure] = report.failures
         assert failure.startswith(f"nu mismatch on flat {members}: computed ")
         assert failure.endswith(f", oracle {oracle!r}")
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_gram_oracle_cut(monkeypatch, factor, passed):
+    """verify_entry accepts a Gram matrix within ORACLE_RTOL of its oracle,
+    relative to the oracle's largest entry, and reports one beyond it.  Only
+    the oracle's evaluation is offset: _evaluated also builds the matrix."""
+    real, gram = catalogue._evaluated, catalogue.entry("H3").gram
+
+    def offset(rows, names):
+        values = real(rows, names)
+        if rows is gram:
+            values[0, 1] += factor * ORACLE_RTOL * np.abs(values).max()
+        return values
+
+    monkeypatch.setattr(catalogue, "_evaluated", offset)
+    report = catalogue.verify_entry("H3", {})
+    error = report.details["gramError"]
+    assert error == pytest.approx(factor * ORACLE_RTOL, rel=1e-6)
+    assert report.passed == passed, report.failures
+    if not passed:
+        assert report.failures == [f"gram mismatch, relative error {error:.3e}"]
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_published_nu_ratio_cut(factor, passed):
+    """verify_relation accepts a common nu-ratio within ORACLE_RTOL times
+    the published one and reports one beyond it."""
+    rel = catalogue.relations("extension")[0]
+    assert rel.description == "A3(1,1,1) inside F3(1)" and rel.nu_ratio == 4.5
+    computed = catalogue.verify_relation(rel).details["nuRatio"]
+    published = computed * (1 + factor * ORACLE_RTOL)
+    report = catalogue.verify_relation(dataclasses.replace(rel, nu_ratio=published))
+    assert report.details["nuRatio"] == computed
+    assert report.passed == passed, report.failures
+    if not passed:
+        assert report.failures == [
+            f"nu-ratio {computed!r} differs from published {published!r}"
+        ]
 
 
 def test_relation_counts():

@@ -5,21 +5,40 @@ import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import veesys
-from veesys import catalogue, digests, io
+from veesys import catalogue, cli, digests, io
 from veesys.cli import main
 from veesys.core import CovectorConfiguration
 from veesys.tolerances import RECONSTRUCTION_TOL
 
 
+def _invoke(main, args):
+    """Run ``main(args)`` in this process.  The result has the exit code,
+    the output (stdout and stderr as written, interleaved) and the exception
+    that ended the run: None on exit 0, else the SystemExit or the error."""
+    output = StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+            return SimpleNamespace(exit_code=code, output=output.getvalue(),
+                                   exception=exc if code else None)
+        except Exception as exc:
+            return SimpleNamespace(exit_code=1, output=output.getvalue(), exception=exc)
+    return SimpleNamespace(exit_code=0, output=output.getvalue(), exception=None)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=_invoke)
 
 
 @pytest.fixture
@@ -247,7 +266,7 @@ def test_bad_rtol_rejected(runner):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf", "-1e-3"])
 def test_zero_or_non_finite_rtol_rejected(runner, value):
     result = runner.invoke(main, ["--rtol", value, "verify", "--catalogue", "H3"])
     assert result.exit_code == 2
@@ -297,9 +316,16 @@ def test_non_finite_document_is_usage_error(runner, tmp_path, capfd, value):
 def test_non_finite_params_are_usage_errors(runner, value):
     result = runner.invoke(main, ["verify", "--catalogue", "F3", "--params", f"t={value}"])
     assert result.exit_code == 2, result.output
-    assert "Usage" in result.output and "Error" in result.output
+    assert "usage:" in result.output and "error:" in result.output
     assert f"--params value '{value}' is not finite" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_repeated_params_key_is_usage_error(runner):
+    result = runner.invoke(main, ["nu", "--catalogue", "F3", "--params", "t=1, t=2"])
+    assert result.exit_code == 2, result.output
+    assert "error: --params key 't' is given twice" in result.output
+    assert "tool:" not in result.output
 
 
 def _source_env():
@@ -329,6 +355,39 @@ def test_cli_start_up_imports_no_yaml():
          "print(len(catalogue.ids()), 'yaml' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert probe.stdout.split() == ["17", "False"]
+
+
+def test_cli_start_up_imports_neither_numpy_nor_click():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veesys.cli; print('numpy' in sys.modules, 'click' in sys.modules)"],
+        env=_source_env(), capture_output=True, text=True, check=True)
+    assert probe.stdout.split() == ["False", "False"]
+
+
+# "<doc>" stands for a saved H3 document
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["verify", "--catalogue", "H3"], ["veesys.catalogue", "veesys.verify"],
+     ["veesys.deform", "veesys.io", "veesys.projective"]),
+    (["matroid", "<doc>"], ["veesys.io", "veesys.matroid"], ["veesys.catalogue"]),
+])
+def test_cli_command_imports_only_what_it_runs(h3_file, argv, loaded, absent):
+    argv = [h3_file if a == "<doc>" else a for a in argv]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veesys.cli\n"
+         "try: veesys.cli.main(sys.argv[1:])\n"
+         "finally: print(*sorted(sys.modules), file=sys.stderr)", *argv],
+        env=_source_env(), capture_output=True, text=True)
+    assert probe.returncode == 0, probe
+    assert probe.stdout.startswith("tool: veesys ")
+    modules = set(probe.stderr.split())
+    assert set(loaded) <= modules
+    assert not set(absent) & modules
+
+
+def test_reconstruct_names_are_the_shipped_scripts():
+    assert cli.SCRIPTS == tuple(sorted(catalogue.SCRIPT_REFERENCES))
 
 
 def test_cli_loads_no_openssl():

@@ -16,6 +16,7 @@ from veesys import (
     decompose,
     deform,
     matroid,
+    projective,
     solve_weights,
     verify,
 )
@@ -87,7 +88,7 @@ def test_harmonic_without_four_flats_computes_no_cross_ratio(monkeypatch, ident)
     def refuse(quads, rtol=None):
         raise AssertionError("cross_ratios called without a 4-flat")
 
-    monkeypatch.setattr(verify, "cross_ratios", refuse)
+    monkeypatch.setattr(projective, "cross_ratios", refuse)
     for params in catalogue.entry(ident).default_grid:
         assert check_harmonic(catalogue.construct(ident, params)) == []
     # the plane check still runs first
@@ -399,8 +400,8 @@ def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
         seen.append(rtol)
         return real(quads, rtol=rtol)
 
-    real = verify.cross_ratios
-    monkeypatch.setattr(verify, "cross_ratios", recording)
+    real = projective.cross_ratios
+    monkeypatch.setattr(projective, "cross_ratios", recording)
     config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
     records = check_harmonic(config, rtol=1e-7)
     assert records and all(r.verdict for r in records)
