@@ -16,17 +16,24 @@ writes every report as text, deterministic for a fixed input and tolerance:
 
 Exit codes: 0 = pass, 1 = semantic failure (checks ran and failed), 2 =
 usage, parse or admissibility error: argparse's ``usage:`` and ``error:``
-lines on stderr, or any VeesysError, which ``main`` writes as
-``error: ...`` on stderr.  ``--rtol`` goes before the command and is passed
-to every check the command calls.
+lines on stderr, any VeesysError, which ``main`` writes as ``error: ...``
+on stderr, or an ``--out`` file that cannot be written (``error: cannot
+write ...``).  ``--rtol`` goes before the command and is passed to every
+check the command calls.
 
 Each command imports the library modules it runs in its own body, so a call
 loads those alone, and numpy only when one of them needs it.
+
+A process runs one command through ``run``, the entry of both the
+``veesys`` script and ``python -m veesys.cli``; ``main`` is the same
+command run in process, and leaves the garbage collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import math
 import re
 import sys
@@ -78,8 +85,12 @@ def _write(command, source, rtol, body, elapsed, out):
               ("input", source), ("rtol", resolve(rtol))]
     text = "\n".join(_lines(header + body)) + f"\n# elapsed: {elapsed:.3f}s\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+            sys.exit(USAGE)
     else:
         sys.stdout.write(text)
 
@@ -157,7 +168,9 @@ def report_command(title, *arguments, configuration=True):
     return decorate
 
 
+@functools.cache
 def _parser():
+    """The one parser of every command; built on first use, once per process."""
     parser = argparse.ArgumentParser(prog="veesys", description=main.__doc__,
                                      allow_abbrev=False)
     parser.add_argument("--rtol", type=float, help="relative tolerance")
@@ -210,6 +223,25 @@ def main(argv=None):
         sys.exit(USAGE)
     _write(title, source, rtol, body, time.monotonic() - started, out)
     sys.exit(PASS if passed else FAIL)
+
+
+def run(argv=None):
+    """Run one command as a whole process: ``main`` with the cyclic garbage
+    collector off, and the heap frozen when it ends.
+
+    Reference counting still frees what the command drops; only reference
+    cycles wait for the exit, and one bounded command makes few of them.
+    So a collection would free almost nothing: it would walk numpy's and
+    the library's live objects, while they are imported and again at
+    interpreter shutdown.  Freezing moves every object into the permanent
+    generation, which the shutdown collections skip.  Shutdown itself is
+    unchanged: atexit handlers run and streams flush.
+    """
+    gc.disable()
+    try:
+        main(argv)
+    finally:
+        gc.freeze()
 
 
 @report_command("verify")
@@ -403,4 +435,4 @@ def catalogue_verify_all(rtol, strict):
 
 
 if __name__ == "__main__":
-    main()
+    run()

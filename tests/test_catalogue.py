@@ -202,6 +202,44 @@ def test_published_nu_ratio_cut(factor, passed):
         ]
 
 
+def _degeneration(description):
+    [rel] = [rel for rel in catalogue.relations("degeneration")
+             if rel.description.startswith(description)]
+    return rel
+
+
+@pytest.mark.parametrize("factor, passed", [(0.99, False), (1.01, True)])
+def test_limit_nu_tol_is_decided_on_both_sides(monkeypatch, factor, passed):
+    """A degeneration whose path stops short of its limit passes while its
+    last nu error is within LIMIT_NU_TOL, and fails beyond it."""
+    rel = _degeneration("F3(t), t -> infinity, limit D3(1,1)")
+    assert not rel.exact_limit
+    error = catalogue.verify_relation(rel).details["nuErrors"][-1]
+    assert error == pytest.approx(2.78e-10, rel=1e-3)
+    monkeypatch.setattr(catalogue, "LIMIT_NU_TOL", factor * error)
+    report = catalogue.verify_relation(rel)
+    assert report.passed == passed, report.failures
+    if not passed:
+        [failure] = report.failures
+        assert failure.startswith("nu-values do not approach target: ")
+
+
+@pytest.mark.parametrize("factor, passed", [(0.99, True), (1.01, False)])
+def test_min_vanishing_exponent_is_decided_on_both_sides(monkeypatch, factor, passed):
+    """A degeneration passes while its vanishing covectors' norms decay with
+    an exponent of at least MIN_VANISHING_EXPONENT, and fails below it."""
+    rel = _degeneration("G3(t), t -> 1/2")
+    exponent = catalogue.verify_relation(rel).details["vanishingNormExponent"]
+    assert exponent == pytest.approx(0.5004, rel=1e-3)
+    monkeypatch.setattr(catalogue, "MIN_VANISHING_EXPONENT", factor * exponent)
+    report = catalogue.verify_relation(rel)
+    assert report.passed == passed, report.failures
+    if not passed:
+        assert report.failures == [
+            f"vanishing norms decay too slowly (exponent {exponent:.3f})"
+        ]
+
+
 def test_relation_counts():
     assert len(catalogue.relations("extension")) == 5
     assert len(catalogue.relations("degeneration")) == 11

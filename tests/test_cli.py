@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -139,6 +140,19 @@ def test_out_writes_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "nu" in target.read_text()
+
+
+@pytest.mark.parametrize("name, reason", [("missing/report.txt", "No such file or directory"),
+                                          ("", "Is a directory")])
+def test_unwritable_out_is_usage_error(runner, tmp_path, name, reason):
+    target = tmp_path / name
+    result = runner.invoke(main, ["verify", "--catalogue", "H3", "--out", str(target)])
+    assert result.exit_code == 2
+    assert result.output == f"error: cannot write {target}: {reason}\n"
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
 
 
 def test_matroid_reports_fingerprint(runner):
@@ -402,6 +416,43 @@ def test_cli_loads_no_openssl():
         env=_source_env(), capture_output=True, text=True, check=True)
     assert "isVeeSystem: True" in probe.stdout
     assert probe.stderr.strip() == "False"
+
+
+def test_run_leaves_the_collector_off_and_the_heap_frozen():
+    try:
+        with pytest.raises(SystemExit) as stopped, redirect_stdout(StringIO()):
+            cli.run(["--version"])
+        assert stopped.value.code == 0
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_main_leaves_the_collector_as_it_found_it(runner):
+    before = gc.isenabled(), gc.get_freeze_count()
+    result = runner.invoke(main, ["verify", "--catalogue", "H3"])
+    assert result.exit_code == 0, result.output
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_process_entry_writes_its_stdout_report_to_out(tmp_path):
+    argv = [sys.executable, "-m", "veesys.cli", "verify", "--catalogue", "H4A1"]
+    target = tmp_path / "h4a1.txt"
+    printed = subprocess.run(argv, env=_source_env(), capture_output=True, text=True)
+    written = subprocess.run([*argv, "--out", str(target)], env=_source_env(),
+                             capture_output=True, text=True)
+    assert printed.returncode == written.returncode == 0, (printed, written)
+    assert printed.stderr == written.stdout == written.stderr == ""
+    report = target.read_text()
+    assert report.splitlines()[-1].startswith("# elapsed: ")
+    assert _body(report) == _body(printed.stdout)
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'veesys = "veesys.cli:run"' in pyproject.read_text().splitlines()
 
 
 def test_non_utf8_document_is_usage_error(runner, tmp_path):
