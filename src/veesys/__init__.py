@@ -52,7 +52,7 @@ _HOMES = {
 
 _SUBMODULES = frozenset({
     "catalogue", "cli", "core", "deform", "digests", "errors", "expressions",
-    "io", "matroid", "projective", "tolerances", "verify",
+    "io", "matroid", "oracles", "projective", "tolerances", "verify",
 })
 
 __all__ = list(_HOMES)

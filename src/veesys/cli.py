@@ -415,14 +415,14 @@ def _status(check):
 )
 def catalogue_verify_all(rtol, strict):
     """Verify every entry on its default grid and every relation row."""
-    from . import catalogue
+    from . import catalogue, oracles
 
     entries = [(f"{ident}({_spec(params)})",
-                catalogue.verify_entry(ident, params, rtol=rtol))
+                oracles.verify_entry(ident, params, rtol=rtol))
                for ident in catalogue.ids()
                for params in catalogue.entry(ident).default_grid]
     relations = [(rel.description, None if strict and rel.flagged
-                  else catalogue.verify_relation(rel, rtol=rtol))
+                  else oracles.verify_relation(rel, rtol=rtol))
                  for kind in ("extension", "degeneration")
                  for rel in catalogue.relations(kind)]
     failures = sum(not (check is None or check.passed)

@@ -12,7 +12,6 @@ induced scalar product of two covectors is  alpha^T G^{-1} beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,32 +40,27 @@ def max_minors(a, b):
     return np.abs(minors).max((0, 1))
 
 
-@dataclass(frozen=True)
 class CovectorConfiguration:
     """A labelled, ordered set of covectors (columns of ``matrix``).
 
     Invariants enforced at construction: every entry is finite, the
     covectors span the full r-dimensional space, none is zero, and no two
     are proportional (2x2 minors below the fixed DEFAULT_RTOL).
+    Configurations compare and hash by identity.
     """
 
-    matrix: np.ndarray  # r x n, covectors as columns
-    labels: tuple = ()
-
-    def __post_init__(self):
-        matrix = _as_readonly(np.atleast_2d(self.matrix))
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, matrix, labels=()):
+        matrix = _as_readonly(np.atleast_2d(matrix))
+        self.matrix = matrix  # r x n, covectors as columns
         r, n = matrix.shape
         if n < r:
             raise ValueError(f"need at least r={r} covectors, got {n}")
-        labels = tuple(self.labels) if self.labels else tuple(
-            str(i + 1) for i in range(n)
-        )
+        labels = tuple(labels) if labels else tuple(str(i + 1) for i in range(n))
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} covectors")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        object.__setattr__(self, "labels", labels)
+        self.labels = labels
 
         if not np.isfinite(matrix).all():
             raise ValueError("covector entries must be finite")
@@ -132,20 +126,15 @@ class CovectorConfiguration:
         return analyse(self)
 
 
-@dataclass(frozen=True)
 class CanonicalForm:
     """The form G = sum alpha alpha^T, its inverse, and its condition number."""
 
-    gram: np.ndarray
-    gram_inverse: np.ndarray
-    condition_number: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _as_readonly(self.gram))
-        object.__setattr__(self, "gram_inverse", _as_readonly(self.gram_inverse))
+    def __init__(self, gram, gram_inverse, condition_number):
+        self.gram = _as_readonly(gram)
+        self.gram_inverse = _as_readonly(gram_inverse)
+        self.condition_number = condition_number
 
 
-@dataclass(frozen=True)
 class PlaneAnalysis:
     """The tolerance-free plane data every check reads.  ``residuals`` and
     ``nus`` hold one entry per flat of ``decomposition``, in its order (pair
@@ -155,13 +144,14 @@ class PlaneAnalysis:
     Thresholds are applied by the callers, so one analysis serves every
     tolerance."""
 
-    form: CanonicalForm
-    pairings: np.ndarray  # P = A^T G^{-1} A
-    decomposition: object  # the configuration's matroid.FlatDecomposition
-    residuals: np.ndarray  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
-    nus: np.ndarray  # 1/2 sum of P_kk over the members
-    ratios: np.ndarray  # multi flats: |u ^ v| / (|u| |v|) of the first two member duals
-    max_residual: float
+    def __init__(self, form, pairings, decomposition, residuals, nus, ratios, max_residual):
+        self.form = form  # the CanonicalForm
+        self.pairings = pairings  # P = A^T G^{-1} A
+        self.decomposition = decomposition  # the configuration's matroid.FlatDecomposition
+        self.residuals = residuals  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
+        self.nus = nus  # 1/2 sum of P_kk over the members
+        self.ratios = ratios  # multi flats: |u ^ v| / (|u| |v|) of the first two member duals
+        self.max_residual = max_residual
 
     @property
     def multi_nus(self):

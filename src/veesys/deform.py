@@ -30,7 +30,7 @@ FREE_NU = "freeNu"
 FIXED_NU = "fixedNu"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeformationSystem:
     """The linearised system of one mode and its rank.
 

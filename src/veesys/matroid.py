@@ -28,11 +28,20 @@ UNKNOWN = "Unknown"
 DEFAULT_NODE_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
 class Flat:
-    """A rank-2 flat: its sorted member indices."""
+    """A rank-2 flat: its sorted member indices.  Flats compare and hash by
+    their members."""
 
-    members: tuple
+    def __init__(self, members):
+        self.members = members
+
+    def __eq__(self, other):
+        if isinstance(other, Flat):
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.members)
 
     @property
     def size(self):
@@ -118,20 +127,30 @@ FlatDecomposition.flats = cached_property(_display_flats)
 FlatDecomposition.flats.__set_name__(FlatDecomposition, "flats")
 
 
-@dataclass(frozen=True)
 class MatroidFingerprint:
     """Equality, like ``digest``, ignores the labelling: it compares the
     flat sizes and the canonical profile, not the per-covector profile."""
 
-    flat_size_multiset: tuple
-    point_profile: tuple = field(compare=False)  # per covector: sorted sizes of flats through it
-    canonical_profile: tuple  # point_profile sorted lexicographically
+    def __init__(self, flat_size_multiset, point_profile, canonical_profile):
+        self.flat_size_multiset = flat_size_multiset
+        self.point_profile = point_profile  # per covector: sorted sizes of flats through it
+        self.canonical_profile = canonical_profile  # point_profile sorted lexicographically
+
+    def _key(self):
+        return self.flat_size_multiset, self.canonical_profile
+
+    def __eq__(self, other):
+        if isinstance(other, MatroidFingerprint):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def digest(self):
         """Short relabelling-invariant hex digest of the fingerprint."""
-        payload = repr((self.flat_size_multiset, self.canonical_profile))
-        return digests.sha256(payload.encode()).hexdigest()[:16]
+        return digests.sha256(repr(self._key()).encode()).hexdigest()[:16]
 
 
 def decompose(config):

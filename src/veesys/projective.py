@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,11 +173,13 @@ def cross_ratio(p1, p2, p3, p4, rtol=None):
     return float(cross_ratios([quad], rtol)[0])
 
 
-@dataclass(frozen=True)
 class Step:
-    target: str
-    left: tuple  # two labels
-    right: tuple  # two labels
+    """Places ``target`` at the meet of the lines through ``left`` and ``right``."""
+
+    def __init__(self, target, left, right):
+        self.target = target
+        self.left = left  # two labels
+        self.right = right  # two labels
 
     def __str__(self):
         return (
@@ -187,17 +188,17 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
 class BranchStep:
     """Places ``target`` on line(line_pair) so that the cross-ratio of
     ``ratio_order`` (which contains target) equals a root of
     x^2 + p x + q = 0."""
 
-    target: str
-    line_pair: tuple
-    ratio_order: tuple  # four labels, target among them
-    p: float
-    q: float
+    def __init__(self, target, line_pair, ratio_order, p, q):
+        self.target = target
+        self.line_pair = line_pair
+        self.ratio_order = ratio_order  # four labels, target among them
+        self.p = p
+        self.q = q
 
     def roots(self):
         disc = self.p * self.p - 4.0 * self.q
@@ -212,10 +213,12 @@ class BranchStep:
         )
 
 
-@dataclass(frozen=True)
 class ReconstructionScript:
-    basis_labels: tuple
-    items: tuple  # Steps and at most one BranchStep, in execution order
+    """A parsed script: its four basis labels and its steps."""
+
+    def __init__(self, basis_labels, items):
+        self.basis_labels = basis_labels
+        self.items = items  # Steps and at most one BranchStep, in execution order
 
     @property
     def branch_step(self):

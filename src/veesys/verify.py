@@ -17,7 +17,7 @@ proportionality fit is kept internal and must agree with the trace value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,11 @@ from .tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol, harmonic_t
                          orthogonal_pair_tol, resolve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VeeReport:
+    """The verdict of ``check_vee``, its largest residual, and the nu of each
+    multi flat."""
+
     is_vee_system: bool
     max_residual: float
     nu_function: dict  # member-label tuple -> nu (multi flats only)
@@ -36,28 +39,36 @@ class VeeReport:
     form: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSolution:
+    """The result of ``solve_weights``: its status, its residual and, unless
+    infeasible, the weights and their universal value."""
+
     status: str  # "feasible" | "infeasible" | "underdetermined"
     weights: dict = None  # member-label tuple -> weight, when feasible
     universal_value: float = None
     residual: float = None
 
 
-@dataclass(frozen=True)
 class HarmonicRecord:
-    flat: tuple  # member labels
-    cross_ratio: float  # None when no orthogonal pair exists
-    orthogonal_pair: tuple  # labels, None when missing
-    verdict: bool
-    note: str = ""
+    """The cross-ratio of a 4-flat with one orthogonal pair in the last two
+    slots and whether it is harmonic, or a flat without an orthogonal pair."""
+
+    def __init__(self, flat, cross_ratio, orthogonal_pair, verdict, note=""):
+        self.flat = flat  # member labels
+        self.cross_ratio = cross_ratio  # None when no orthogonal pair exists
+        self.orthogonal_pair = orthogonal_pair  # labels, None when missing
+        self.verdict = verdict
+        self.note = note
 
 
-@dataclass(frozen=True)
 class ExtensionReport:
-    is_extension: bool
-    nu_ratio: float  # common inner/outer ratio, None when not common
-    per_flat_ratios: dict = field(default_factory=dict)
+    """The result of ``check_extension``."""
+
+    def __init__(self, is_extension, nu_ratio, per_flat_ratios=None):
+        self.is_extension = is_extension
+        self.nu_ratio = nu_ratio  # common inner/outer ratio, None when not common
+        self.per_flat_ratios = {} if per_flat_ratios is None else per_flat_ratios
 
 
 def plane_analysis(config, rtol=None):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from veesys import catalogue, deform
+from veesys import catalogue, deform, oracles
 from veesys.catalogue import CatalogueDataError
 from veesys.errors import (InadmissibleParameters, InvalidConfiguration, UnknownEntry,
                            VeesysError)
@@ -216,7 +216,7 @@ def test_limit_nu_tol_is_decided_on_both_sides(monkeypatch, factor, passed):
     assert not rel.exact_limit
     error = catalogue.verify_relation(rel).details["nuErrors"][-1]
     assert error == pytest.approx(2.78e-10, rel=1e-3)
-    monkeypatch.setattr(catalogue, "LIMIT_NU_TOL", factor * error)
+    monkeypatch.setattr(oracles, "LIMIT_NU_TOL", factor * error)
     report = catalogue.verify_relation(rel)
     assert report.passed == passed, report.failures
     if not passed:
@@ -231,13 +231,48 @@ def test_min_vanishing_exponent_is_decided_on_both_sides(monkeypatch, factor, pa
     rel = _degeneration("G3(t), t -> 1/2")
     exponent = catalogue.verify_relation(rel).details["vanishingNormExponent"]
     assert exponent == pytest.approx(0.5004, rel=1e-3)
-    monkeypatch.setattr(catalogue, "MIN_VANISHING_EXPONENT", factor * exponent)
+    monkeypatch.setattr(oracles, "MIN_VANISHING_EXPONENT", factor * exponent)
     report = catalogue.verify_relation(rel)
     assert report.passed == passed, report.failures
     if not passed:
         assert report.failures == [
             f"vanishing norms decay too slowly (exponent {exponent:.3f})"
         ]
+
+
+AB4_ROW = "(AB4(t),A1)_1, t -> 1/sqrt(2)"
+F3_ROW = "F3(t), t -> infinity, limit D3(1,1)"
+
+
+@pytest.mark.parametrize("row, cut, factor, passed", [
+    (AB4_ROW, "SURVIVOR_RESIDUAL_DECAY", 0.99, True),
+    (AB4_ROW, "SURVIVOR_RESIDUAL_DECAY", 1.01, False),
+    (AB4_ROW, "SURVIVOR_RESIDUAL_CAP", 1.01, True),
+    (AB4_ROW, "SURVIVOR_RESIDUAL_CAP", 0.99, False),
+    (F3_ROW, "SURVIVOR_RESIDUAL_FLOOR", 1.01, True),
+    (F3_ROW, "SURVIVOR_RESIDUAL_FLOOR", 0.99, False),
+])
+def test_survivor_residual_cuts_are_decided_on_both_sides(monkeypatch, row, cut, factor, passed):
+    """A degeneration passes while the survivors' residual r1 at the smaller
+    offset is at most SURVIVOR_RESIDUAL_CAP and below SURVIVOR_RESIDUAL_FLOOR
+    or below r0 / SURVIVOR_RESIDUAL_DECAY, r0 the residual at the larger
+    offset.  On the AB4 row r1 lies above the floor, so the decay decides;
+    on the F3 row the decay factor is raised past r0 / r1, so the floor
+    alone decides."""
+    rel = _degeneration(row)
+    r0, r1 = catalogue.verify_relation(rel).details["survivorResiduals"]
+    if row == AB4_ROW:
+        assert r1 == pytest.approx(7.07e-5, rel=1e-3) and r0 / r1 == pytest.approx(9.99, rel=1e-3)
+        assert r1 > oracles.SURVIVOR_RESIDUAL_FLOOR
+    else:
+        assert r1 == pytest.approx(8.32e-10, rel=1e-3) and r0 / r1 == pytest.approx(100, rel=1e-3)
+        monkeypatch.setattr(oracles, "SURVIVOR_RESIDUAL_DECAY", 2 * r0 / r1)
+    deciding = r0 / r1 if cut == "SURVIVOR_RESIDUAL_DECAY" else r1
+    monkeypatch.setattr(oracles, cut, factor * deciding)
+    report = catalogue.verify_relation(rel)
+    assert report.passed == passed, report.failures
+    if not passed:
+        assert report.failures == [f"survivor residuals do not vanish in the limit: {[r0, r1]}"]
 
 
 def test_relation_counts():

@@ -382,6 +382,8 @@ def test_cli_start_up_imports_neither_numpy_nor_click():
 # "<doc>" stands for a saved H3 document
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["verify", "--catalogue", "H3"], ["veesys.catalogue", "veesys.verify"],
+     ["veesys.deform", "veesys.io", "veesys.oracles", "veesys.projective"]),
+    (["catalogue", "verify-all"], ["veesys.catalogue", "veesys.oracles", "veesys.verify"],
      ["veesys.deform", "veesys.io", "veesys.projective"]),
     (["matroid", "<doc>"], ["veesys.io", "veesys.matroid"], ["veesys.catalogue"]),
 ])
@@ -398,6 +400,28 @@ def test_cli_command_imports_only_what_it_runs(h3_file, argv, loaded, absent):
     modules = set(probe.stderr.split())
     assert set(loaded) <= modules
     assert not set(absent) & modules
+
+
+def test_cli_command_builds_only_the_dataclasses_replace_reads():
+    """Of the classes a verify call loads, only the records that
+    ``dataclasses.replace`` is called on are dataclasses, and each has its
+    own docstring, not the signature that ``dataclasses`` generates."""
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import dataclasses, json, sys, veesys.cli\n"
+         "try: veesys.cli.main(['verify', '--catalogue', 'H3'])\n"
+         "finally: print(json.dumps({value.__name__: value.__doc__\n"
+         "    for name, module in list(sys.modules.items()) if name.startswith('veesys.')\n"
+         "    for value in vars(module).values() if isinstance(value, type)\n"
+         "    and dataclasses.is_dataclass(value) and value.__module__ == name}),\n"
+         "    file=sys.stderr)"],
+        env=_source_env(), capture_output=True, text=True)
+    assert probe.returncode == 0, probe
+    assert "isVeeSystem: True" in probe.stdout
+    docs = json.loads(probe.stderr)
+    assert set(docs) == {"VeeReport", "WeightSolution", "FlatDecomposition", "RelationEntry"}
+    for name, doc in docs.items():
+        assert doc and not doc.startswith(f"{name}("), (name, doc)
 
 
 def test_reconstruct_names_are_the_shipped_scripts():

@@ -8,6 +8,11 @@ from veesys import (
     CovectorConfiguration,
     canonical_form,
     catalogue,
+    deform,
+    matroid,
+    oracles,
+    projective,
+    verify,
 )
 from veesys.core import pairing_matrix
 from veesys.errors import SingularForm
@@ -139,3 +144,38 @@ def test_non_finite_entries_rejected(value):
     matrix[1, 2] = value
     with pytest.raises(ValueError, match="finite"):
         CovectorConfiguration(matrix)
+
+
+def _records():
+    """One record of each kind the library returns, built afresh on each call
+    apart from the catalogue's own records, which it loads once."""
+    config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 1})
+    decomp = config.decomposition
+    script = projective.load_script(catalogue.script_path("h3"))
+    return [
+        config, config.analysis.form, config.analysis, decomp, decomp.flats[-1],
+        matroid.fingerprint(decomp), verify.check_vee(config), verify.solve_weights(config),
+        verify.check_harmonic(config)[0],
+        verify.check_extension(config, config, range(config.n)),
+        deform.build_system(config), catalogue.entry("B3"), catalogue.relations()[0],
+        catalogue._load().auxiliary["B3-roots"], oracles.CheckReport("B3"),
+        script, script.items[0], script.branch_step,
+    ]
+
+
+def test_records_compare_and_hash_without_raising():
+    """Records holding arrays or dicts compare and hash by identity; the flat
+    structure (decompositions, flats, fingerprints) compares by value."""
+    by_value = (matroid.FlatDecomposition, matroid.Flat, matroid.MatroidFingerprint)
+    first, second = _records(), _records()
+    assert len({type(record) for record in first}) == len(first)
+    for a, b in zip(first, second):
+        assert a == a and not a != a, type(a)
+        assert (a == b) == (a is b or isinstance(a, by_value)), type(a)
+        assert (a != b) == (not a == b), type(a)
+        assert hash(a) == hash(a) and isinstance(hash(b), int), type(a)
+        if isinstance(a, by_value):
+            assert hash(a) == hash(b), type(a)
+    config, twin = first[0], second[0]
+    keyed = {config: "first", twin: "second"}
+    assert keyed[config] == "first" and keyed[twin] == "second"

@@ -287,6 +287,10 @@ def _chain(config, rtol=None):
             outcome = (outcome.is_vee_system, outcome.max_residual,
                        config.analysis.residuals.tolist(), config.analysis.nus.tolist(),
                        outcome.nu_function)
+        elif hasattr(outcome, "status"):  # a WeightSolution, equal by identity
+            outcome = vars(outcome)
+        elif isinstance(outcome, list):  # HarmonicRecords, equal by identity
+            outcome = [vars(record) for record in outcome]
         outcomes.append(outcome)
     return outcomes
 
