@@ -33,7 +33,6 @@ _HOMES = {
     "check_extension": "verify",
     "check_harmonic": "verify",
     "check_vee": "verify",
-    "cross_ratio": "projective",
     "decompose": "matroid",
     "fingerprint": "matroid",
     "load_document": "io",

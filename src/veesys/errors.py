@@ -49,11 +49,7 @@ class CoincidentLines(VeesysError):
 
 
 class NotCollinear(VeesysError):
-    """Cross-ratio requires four collinear points."""
-
-
-class DuplicatePoints(VeesysError):
-    """Cross-ratio requires four pairwise distinct points."""
+    """A point of a branch step's cross-ratio lies off the step's line."""
 
 
 class StepDegenerate(VeesysError):

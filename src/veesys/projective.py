@@ -28,13 +28,11 @@ import numpy as np
 from .errors import (
     BranchRequired,
     CoincidentLines,
-    DuplicatePoints,
     NotCollinear,
     ScriptFormatError,
     StepDegenerate,
 )
-from .tolerances import (BASIS_SINE, BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL,
-                         DUPLICATE_SINE, INFINITE_RATIO_TOL, SIGN_COORDINATE_TOL,
+from .tolerances import (BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL, SIGN_COORDINATE_TOL,
                          collinear_tol, line_tol, resolve)
 
 
@@ -96,81 +94,6 @@ def meet(p1, p2, q1, q2, rtol=None):
     if np.linalg.norm(point) < cut:
         raise CoincidentLines("the two lines coincide")
     return ProjectivePoint(point)
-
-
-# The six point pairs of a quad, in itertools.combinations order; the first
-# four are the candidate bases of the common line, in order of preference.
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# Pair indices of (p1, p3), (p2, p4), (p1, p4), (p2, p3).
-_RATIO_PAIRS = [1, 4, 2, 3]
-
-
-def cross_ratios(quads, rtol=None):
-    """Cross-ratios (p1, p2; p3, p4) of a stack of collinear quads.
-
-    ``quads`` has shape (R, 4, 3): R quads of nonzero 3-vectors, of any
-    scale and sign.  Returns R values, as ``cross_ratio`` defines them.  On
-    the common line, spanned by the unit points a, b of the first of the
-    pairs (1,2), (1,3), (1,4), (2,3) at angular error above BASIS_SINE, the
-    2-d determinant of two points p, q is (p x q).(a x b) / |a x b|^2.  The
-    first failing quad raises: DuplicatePoints when two of its points have
-    angular error below DUPLICATE_SINE or no basis pair exists,
-    NotCollinear when a unit point lies off the plane of a and b by more
-    than ``collinear_tol``.  A value whose denominator is below
-    INFINITE_RATIO_TOL times max(1, |numerator|) is math.inf.
-
-    The cross products and norms are written out as component products and
-    sums, the same arithmetic as ``np.cross`` and ``np.linalg.norm`` and so
-    the same values, bit for bit, without their per-call overhead.
-    """
-    quads = np.asarray(quads, dtype=float)
-    norms = np.sqrt((quads * quads).sum(axis=2, keepdims=True))
-    if not norms.all():
-        raise ValueError("projective point needs a nonzero vector")
-    units = quads / norms
-    first, second = zip(*_PAIRS)
-    # rolled coordinates; take, unlike fancy indexing, keeps every array
-    # C-contiguous, so the einsums below sum in the same order as on np.cross
-    x, y = units.take([1, 2, 0], axis=2), units.take([2, 0, 1], axis=2)
-    crosses = (x.take(first, axis=1) * y.take(second, axis=1)
-               - y.take(first, axis=1) * x.take(second, axis=1))
-    sines = np.sqrt((crosses * crosses).sum(axis=2))
-    duplicate = sines < DUPLICATE_SINE
-    spans = sines[:, :4] > BASIS_SINE
-    rows = np.arange(len(units))
-    basis = spans.argmax(axis=1)
-    normal, area = crosses[rows, basis], sines[rows, basis] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):  # quads without a basis fail
-        off = np.abs(np.einsum("rpi,ri->rp", units, normal)) / np.sqrt(area)[:, None]
-    off_line = off > collinear_tol(resolve(rtol))
-    failed = duplicate.any(axis=1) | ~spans.any(axis=1) | off_line.any(axis=1)
-    if failed.any():
-        r = int(failed.argmax())
-        if duplicate[r].any():
-            a, b = _PAIRS[int(duplicate[r].argmax())]
-            raise DuplicatePoints(f"points {a + 1} and {b + 1} coincide")
-        if not spans[r].any():
-            raise DuplicatePoints("all points coincide")
-        err = off[r, off_line[r].argmax()]
-        raise NotCollinear(f"point off the common line by {err:.2e}")
-    d13, d24, d14, d23 = np.einsum("rpi,ri->pr", crosses[:, _RATIO_PAIRS], normal) / area
-    num, den = d13 * d24, d14 * d23
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / den
-    return np.where(np.abs(den) < INFINITE_RATIO_TOL * np.maximum(1.0, np.abs(num)),
-                    math.inf, values)
-
-
-def cross_ratio(p1, p2, p3, p4, rtol=None):
-    """Cross-ratio (p1, p2; p3, p4) of four collinear points.
-
-    In affine line coordinates z the value is
-    (z1 - z3)(z2 - z4) / ((z1 - z4)(z2 - z3)); computed here from 2-d
-    homogeneous coordinates so points at infinity need no special casing.
-    The result itself may be infinite (encoded as math.inf).
-    """
-    quad = [p.coordinates for p in (p1, p2, p3, p4)]
-    return float(cross_ratios([quad], rtol)[0])
 
 
 class Step:
@@ -317,7 +240,7 @@ def _place_by_ratio(step, env, branch_root, tol):
     """Solve the branch step: point on line(P, Q) with prescribed ratio.
 
     Raises NotCollinear when a point of the ratio lies off line(P, Q) by
-    more than ``collinear_tol``, as ``cross_ratios`` does."""
+    more than ``collinear_tol``."""
     P = env[step.line_pair[0]]
     Q = env[step.line_pair[1]]
     basis = np.column_stack([P.coordinates, Q.coordinates])
@@ -336,7 +259,7 @@ def _place_by_ratio(step, env, branch_root, tol):
     xb, yb = coords(b)
     xd, yd = coords(d)
     x = branch_root
-    # cross_ratio(a, b; target, d) = x with target = P + s*Q, i.e. (1, s):
+    # the cross-ratio (a, b; target, d) = x with target = P + s*Q, i.e. (1, s):
     #   (xa*s - ya) * (xb*yd - xd*yb) = x * (xa*yd - xd*ya) * (xb*s - yb)
     k1 = xb * yd - xd * yb
     k2 = xa * yd - xd * ya

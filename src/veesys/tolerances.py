@@ -98,21 +98,10 @@ def line_tol(tol):
     return max(tol, 1e-12) * 10
 
 
-# Two unit points of a quad whose cross product is shorter than this coincide.
-DUPLICATE_SINE = 1e-12
-
-# A pair of unit points spans a quad's common line when their cross product is longer than this.
-BASIS_SINE = 1e-8
-
-
 def collinear_tol(tol):
-    """A unit point farther than this from the plane of a quad's basis pair
-    is off the common line."""
+    """A point of a branch step's cross-ratio whose unit vector lies farther
+    than this from the plane of the step's line is off the line."""
     return max(max(tol, 1e-12) * 1000, 1e-8)
-
-
-# A cross-ratio whose denominator is below this times max(1, |numerator|) is infinite.
-INFINITE_RATIO_TOL = 1e-14
 
 # A branch step's linear equation with a leading coefficient below this has no unique root.
 DEGENERATE_RATIO_TOL = 1e-14

@@ -153,8 +153,14 @@ def check_harmonic(config, rtol=None):
     In a harmonic range one orthogonal pair forces the complementary pair to
     be orthogonal as well, so quads normally carry two orthogonal pairs
     ("two orthogonals"); the count is noted, the verdict only requires the
-    cross-ratio.  Without a 4-flat there are no records, no cross-ratio is
-    computed and ``projective`` is not imported.
+    cross-ratio.  Without a 4-flat there are no records.
+
+    The cross-ratio is read off P.  With a and b the flat's first two
+    members, alpha -> (P_alpha_a, P_alpha_b) maps the flat's plane linearly
+    onto R^2, one-to-one once ``plane_analysis`` has passed the flat's ratio
+    check, and a cross-ratio is invariant under linear maps: it is
+    [13][24] / ([23][14]), where [xy] is the 2x2 minor of the coordinates
+    of members x and y.
     """
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
@@ -162,15 +168,21 @@ def check_harmonic(config, rtol=None):
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
     if not quads:
         return []
-    from .projective import cross_ratios  # the script machinery loads only here
-    members = np.array(quads, dtype=int)
-    I, J = members[:, _QUAD_FIRST], members[:, _QUAD_SECOND]
-    # normalised by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0
+    # P scaled by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0
     root = np.sqrt(np.diag(P))
-    orthogonal = np.abs(P[I, J]) / (root[I] * root[J]) < orthogonal_pair_tol(tol)
+
+    def scaled(i, j):
+        return P[i, j] / (root[i] * root[j])
+
+    members = np.array(quads, dtype=int)
+    pairings = scaled(members[:, _QUAD_FIRST], members[:, _QUAD_SECOND])
+    orthogonal = np.abs(pairings) < orthogonal_pair_tol(tol)
     flat_of, pair_of = np.nonzero(orthogonal)
-    points = config.matrix.T[members[flat_of[:, None], _QUAD_ORDERS[pair_of]]]
-    values = iter(cross_ratios(points, rtol=tol).tolist())
+    ordered = members[flat_of[:, None], _QUAD_ORDERS[pair_of]]
+    x, y = (scaled(ordered, members[flat_of, lead, None]) for lead in (0, 1))
+    d13, d24, d23, d14 = (x[:, k] * y[:, m] - x[:, m] * y[:, k]
+                          for k, m in ((0, 2), (1, 3), (1, 2), (0, 3)))
+    values = iter((d13 * d24 / (d23 * d14)).tolist())
     pairs = iter(pair_of.tolist())  # row by row, so each quad's pairs in turn
     cut = harmonic_tol(tol)
     records = []

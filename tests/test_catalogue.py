@@ -224,6 +224,23 @@ def test_limit_nu_tol_is_decided_on_both_sides(monkeypatch, factor, passed):
         assert failure.startswith("nu-values do not approach target: ")
 
 
+@pytest.mark.parametrize("factor, passed", [(0.99, False), (1.01, True)])
+def test_limit_nu_oracle_rtol_is_decided_on_both_sides(monkeypatch, factor, passed):
+    """A degeneration that reaches its limit passes while the limit's
+    nu-values lie within ORACLE_RTOL of the target's, and fails beyond it.
+    This row's limit nu error is the largest of the exact-limit rows."""
+    rel = _degeneration("B3(c1,3/2,3/2;-1), c1 -> 1, limit (E6,A3)")
+    assert rel.exact_limit
+    error = catalogue.verify_relation(rel).details["limitNuError"]
+    assert error == pytest.approx(2.22e-16, rel=1e-2)
+    monkeypatch.setattr(oracles, "ORACLE_RTOL", factor * error)
+    report = catalogue.verify_relation(rel)
+    assert report.passed == passed, report.failures
+    if not passed:
+        [failure] = report.failures
+        assert failure.startswith("limit nu-values ") and " differ from target " in failure
+
+
 @pytest.mark.parametrize("factor, passed", [(0.99, True), (1.01, False)])
 def test_min_vanishing_exponent_is_decided_on_both_sides(monkeypatch, factor, passed):
     """A degeneration passes while its vanishing covectors' norms decay with

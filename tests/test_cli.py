@@ -385,6 +385,10 @@ def test_cli_start_up_imports_neither_numpy_nor_click():
      ["veesys.deform", "veesys.io", "veesys.oracles", "veesys.projective"]),
     (["catalogue", "verify-all"], ["veesys.catalogue", "veesys.oracles", "veesys.verify"],
      ["veesys.deform", "veesys.io", "veesys.projective"]),
+    # a 4-flat's cross-ratios come from P, not from the projective machinery
+    (["harmonic", "--catalogue", "B3", "--params", "c1=1,c2=1,c3=1,gamma=0"],
+     ["veesys.catalogue", "veesys.verify"],
+     ["veesys.deform", "veesys.io", "veesys.oracles", "veesys.projective"]),
     (["matroid", "<doc>"], ["veesys.io", "veesys.matroid"], ["veesys.catalogue"]),
 ])
 def test_cli_command_imports_only_what_it_runs(h3_file, argv, loaded, absent):

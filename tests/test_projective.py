@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from veesys import (
+    DEFAULT_RTOL,
     ProjectivePoint,
     catalogue,
-    cross_ratio,
+    check_harmonic,
     decompose,
     load_script,
     meet,
@@ -17,15 +18,12 @@ from veesys import (
     same_matroid,
     to_projective,
 )
-from veesys import CovectorConfiguration, matroid, projective
-from veesys.projective import cross_ratios
-from veesys.tolerances import (BASIS_SINE, BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL,
-                               INFINITE_RATIO_TOL, SIGN_COORDINATE_TOL, line_tol,
-                               resolve)
+from veesys import CovectorConfiguration, matroid
+from veesys.tolerances import (BASIS_TRIPLE_DET, DEGENERATE_RATIO_TOL, SIGN_COORDINATE_TOL,
+                               harmonic_tol, line_tol, resolve)
 from veesys.errors import (
     BranchRequired,
     CoincidentLines,
-    DuplicatePoints,
     NotCollinear,
     ScriptFormatError,
     StepDegenerate,
@@ -36,59 +34,50 @@ def _affine(z):
     return ProjectivePoint([z, 1.0, 0.0])
 
 
-def test_cross_ratio_affine_oracle():
-    assert cross_ratio(*map(_affine, (0, 1, 2, 3))) == pytest.approx(4 / 3)
-
-
-def test_cross_ratio_harmonic_oracle():
-    value = cross_ratio(
-        _affine(1), _affine(-1), _affine(0), ProjectivePoint([1, 0, 0])
-    )
-    assert value == pytest.approx(-1.0)
-
-
-def test_cross_ratio_swap_last_pair_inverts():
-    value = cross_ratio(*map(_affine, (0, 1, 2, 3)))
-    swapped = cross_ratio(*map(_affine, (0, 1, 3, 2)))
-    assert value * swapped == pytest.approx(1.0)
-
-
-def test_cross_ratio_rejects_bad_input():
-    with pytest.raises(DuplicatePoints):
-        cross_ratio(_affine(0), _affine(0), _affine(1), _affine(2))
-    with pytest.raises(NotCollinear):
-        cross_ratio(
-            _affine(0), _affine(1), _affine(2), ProjectivePoint([0, 0, 1])
-        )
-
-
-def _reference_cross_ratio(points, rtol=None):
-    """Per-quad reference: pairwise duplicate checks, a basis of two of the
-    points, and least-squares line coordinates of each point."""
-    tol = max(resolve(rtol), 1e-12)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if points[a].angular_error(points[b]) < 1e-12:
-                raise DuplicatePoints(f"points {a + 1} and {b + 1} coincide")
-    for a, b in ((0, 1), (0, 2), (0, 3), (1, 2)):
-        if points[a].angular_error(points[b]) > 1e-8:
-            basis = np.column_stack([points[a].coordinates, points[b].coordinates])
-            break
-    else:
-        raise DuplicatePoints("all points coincide")
+def _reference_cross_ratio(points):
+    """Cross-ratio (p1, p2; p3, p4) of four distinct collinear points, from
+    a basis of two of the points and least-squares line coordinates of each
+    point.  In affine line coordinates z it is
+    (z1 - z3)(z2 - z4) / ((z1 - z4)(z2 - z3))."""
+    for a, b in itertools.combinations(range(4), 2):
+        if points[a].angular_error(points[b]) < 1e-12:
+            raise ValueError(f"points {a + 1} and {b + 1} coincide")
+    a, b = next((a, b) for a, b in ((0, 1), (0, 2), (0, 3), (1, 2))
+                if points[a].angular_error(points[b]) > 1e-8)
+    basis = np.column_stack([points[a].coordinates, points[b].coordinates])
     coords = []
     for p in points:
         c, *_ = np.linalg.lstsq(basis, p.coordinates, rcond=None)
         err = np.linalg.norm(basis @ c - p.coordinates)
-        if err > max(tol * 1000, 1e-8):
-            raise NotCollinear(f"point off the common line by {err:.2e}")
+        if err > 1e-8:
+            raise ValueError(f"point off the common line by {err:.2e}")
         coords.append(c)
     (x1, y1), (x2, y2), (x3, y3), (x4, y4) = coords
     num = (x1 * y3 - x3 * y1) * (x2 * y4 - x4 * y2)
     den = (x1 * y4 - x4 * y1) * (x2 * y3 - x3 * y2)
-    if abs(den) < 1e-14 * max(1.0, abs(num)):
-        return math.inf
     return float(num / den)
+
+
+def test_cross_ratio_affine_oracle():
+    assert _reference_cross_ratio([_affine(z) for z in (0, 1, 2, 3)]) == pytest.approx(4 / 3)
+
+
+def test_cross_ratio_harmonic_oracle():
+    points = [_affine(1), _affine(-1), _affine(0), ProjectivePoint([1, 0, 0])]
+    assert _reference_cross_ratio(points) == pytest.approx(-1.0)
+
+
+def test_cross_ratio_swap_last_pair_inverts():
+    value = _reference_cross_ratio([_affine(z) for z in (0, 1, 2, 3)])
+    swapped = _reference_cross_ratio([_affine(z) for z in (0, 1, 3, 2)])
+    assert value * swapped == pytest.approx(1.0)
+
+
+def test_cross_ratio_rejects_bad_input():
+    with pytest.raises(ValueError, match="coincide"):
+        _reference_cross_ratio([_affine(0), _affine(0), _affine(1), _affine(2)])
+    with pytest.raises(ValueError, match="off the common line"):
+        _reference_cross_ratio([_affine(0), _affine(1), _affine(2), ProjectivePoint([0, 0, 1])])
 
 
 def _quad_configurations():
@@ -109,135 +98,25 @@ def _quad_configurations():
             yield f"{ident} image {k}", base.transformed(C)
 
 
-def _four_flat_quads(config):
-    """Every 4-flat of a configuration in the six orders with one of its
-    member pairs last, as lists of member indices."""
-    return [
-        [f.members[m] for m in rest + list(pair)]
-        for f in decompose(config).flats if f.size == 4
-        for pair in itertools.combinations(range(4), 2)
-        for rest in [[m for m in range(4) if m not in pair]]
-    ]
-
-
-def test_cross_ratios_match_reference_on_every_four_flat_quad():
+def test_harmonic_values_match_reference_on_every_four_flat_quad():
+    """check_harmonic reads each cross-ratio off P; the reference takes the
+    covectors' own line coordinates.  Both give the same value and verdict
+    on every (other two members, orthogonal pair) quad of every 4-flat."""
+    cut = harmonic_tol(DEFAULT_RTOL)
     checked = 0
     for name, config in _quad_configurations():
-        quads = _four_flat_quads(config)
-        values = cross_ratios(config.matrix.T[np.array(quads, dtype=int).reshape(-1, 4)])
-        expected = [
-            _reference_cross_ratio([ProjectivePoint(config.covector(m)) for m in quad])
-            for quad in quads
-        ]
-        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12, err_msg=name)
-        checked += len(quads)
-    assert checked > 1000
-
-
-def _np_cross_ratios(quads):
-    """The values of cross_ratios from np.cross and np.linalg.norm, on quads
-    that pass its checks."""
-    units = quads / np.linalg.norm(quads, axis=2, keepdims=True)
-    first, second = zip(*projective._PAIRS)
-    crosses = np.cross(units[:, first], units[:, second])
-    sines = np.linalg.norm(crosses, axis=2)
-    basis = (sines[:, :4] > BASIS_SINE).argmax(axis=1)
-    rows = np.arange(len(units))
-    normal, area = crosses[rows, basis], sines[rows, basis] ** 2
-    d13, d24, d14, d23 = np.einsum("rpi,ri->pr", crosses[:, [1, 4, 2, 3]], normal) / area
-    num, den = d13 * d24, d14 * d23
-    return np.where(np.abs(den) < INFINITE_RATIO_TOL * np.maximum(1.0, np.abs(num)),
-                    math.inf, num / den)
-
-
-def test_cross_ratios_equal_the_np_cross_formula():
-    checked = 0
-    for name, config in _quad_configurations():
-        quads = config.matrix.T[np.array(_four_flat_quads(config), dtype=int).reshape(-1, 4)]
-        values, expected = cross_ratios(quads), _np_cross_ratios(quads)
-        assert values.tolist() == expected.tolist(), name
-        checked += len(quads)
-    assert checked > 1000
-
-
-def _line_quad(height=0.0, angle=math.pi / 4):
-    """Three points on the plane z = 0 and a unit fourth point at distance
-    ``height`` from it; the first two points are ``angle`` apart."""
-    return [
-        [1.0, 0.0, 0.0],
-        [math.cos(angle), math.sin(angle), 0.0],
-        [0.0, 1.0, 0.0],
-        [0.6 * math.sqrt(1 - height**2), 0.8 * math.sqrt(1 - height**2), height],
-    ]
-
-
-def _both(quad, rtol=None):
-    """cross_ratios and the reference on one quad."""
-    return (
-        float(cross_ratios([quad], rtol)[0]),
-        _reference_cross_ratio([ProjectivePoint(p) for p in quad], rtol),
-    )
-
-
-@pytest.mark.parametrize("angle, coincide", [(0.5e-12, True), (2e-12, False)])
-def test_cross_ratios_duplicate_threshold(angle, coincide):
-    quad = _line_quad(angle=angle)
-    if coincide:
-        with pytest.raises(DuplicatePoints, match="points 1 and 2"):
-            cross_ratios([quad])
-        with pytest.raises(DuplicatePoints):
-            _reference_cross_ratio([ProjectivePoint(p) for p in quad])
-    else:
-        value, expected = _both(quad)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("spread, spans", [(0.8e-8, False), (1.2e-8, True)])
-def test_cross_ratios_basis_threshold(spread, spans):
-    # affine points z = 0, 1, 2, 3 squeezed to within angle ``spread``: a
-    # basis needs one of the pairs (1,2), (1,3), (1,4), (2,3) above 1e-8
-    quad = [[1.0, z * spread / 3, 0.0] for z in range(4)]
-    if spans:
-        value, expected = _both(quad)
-        assert value == pytest.approx(4 / 3, rel=1e-6)
-        assert expected == pytest.approx(4 / 3, rel=1e-6)
-    else:
-        with pytest.raises(DuplicatePoints, match="all points coincide"):
-            cross_ratios([quad])
-        with pytest.raises(DuplicatePoints, match="all points coincide"):
-            _reference_cross_ratio([ProjectivePoint(p) for p in quad])
-
-
-@pytest.mark.parametrize("rtol", [1e-9, 1e-6])
-@pytest.mark.parametrize("factor, collinear", [(1.1, False), (0.9, True)])
-def test_cross_ratios_collinearity_threshold_follows_rtol(rtol, factor, collinear):
-    bound = max(rtol * 1000, 1e-8)
-    quad = _line_quad(height=factor * bound)
-    if collinear:
-        value, expected = _both(quad, rtol)
-        assert value == pytest.approx(expected, rel=1e-12)
-    else:
-        with pytest.raises(NotCollinear, match="off the common line"):
-            cross_ratios([_line_quad(), quad], rtol)
-        with pytest.raises(NotCollinear):
-            _reference_cross_ratio([ProjectivePoint(p) for p in quad], rtol)
-
-
-@pytest.mark.parametrize("gap, infinite", [(0.8e-7, True), (1.2e-7, False)])
-def test_cross_ratios_infinite_branch(gap, infinite):
-    # p1 ~ p4 and p2 ~ p3 at angle ``gap``: den = -gap^2 against num = -1
-    quad = [[1, 0, 0], [0, 1, 0], [gap, 1, 0], [1, gap, 0]]
-    value, expected = _both(quad)
-    assert math.isinf(value) == math.isinf(expected) == infinite
-    if not infinite:
-        assert value == pytest.approx(expected, rel=1e-6)
-    points = [ProjectivePoint(p) for p in quad]
-    assert (cross_ratio(*points) == math.inf) == infinite
-
-
-def test_cross_ratios_rejects_zero_vector():
-    with pytest.raises(ValueError, match="nonzero"):
-        cross_ratios([[[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]]])
+        points = to_projective(config)
+        records = check_harmonic(config)
+        assert len({r.flat for r in records}) == sum(
+            f.size == 4 for f in decompose(config).flats), name
+        for record in records:
+            rest = [label for label in record.flat if label not in record.orthogonal_pair]
+            expected = _reference_cross_ratio(
+                [points[label] for label in (*rest, *record.orthogonal_pair)])
+            assert record.cross_ratio == pytest.approx(expected, rel=1e-12, abs=0), name
+            assert record.verdict == (abs(expected + 1.0) < cut), name
+            checked += 1
+    assert checked > 300
 
 
 def test_meet_basic():

@@ -16,13 +16,12 @@ from veesys import (
     decompose,
     deform,
     matroid,
-    projective,
     solve_weights,
     verify,
 )
 from veesys.errors import BadEmbedding, DegeneratePlane, VeesysError
 from veesys.tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol,
-                               harmonic_tol, orthogonal_pair_tol)
+                               harmonic_tol, orthogonal_pair_tol, resolve)
 
 
 def test_check_vee_accepts_h3():
@@ -84,11 +83,7 @@ def test_harmonic_empty_without_quads():
 
 
 @pytest.mark.parametrize("ident", ["A3", "D3"])
-def test_harmonic_without_four_flats_computes_no_cross_ratio(monkeypatch, ident):
-    def refuse(quads, rtol=None):
-        raise AssertionError("cross_ratios called without a 4-flat")
-
-    monkeypatch.setattr(projective, "cross_ratios", refuse)
+def test_harmonic_without_four_flats_computes_no_cross_ratio(ident):
     for params in catalogue.entry(ident).default_grid:
         assert check_harmonic(catalogue.construct(ident, params)) == []
     # the plane check still runs first
@@ -397,21 +392,6 @@ def test_underflowing_planes_read_as_degenerate():
         check_vee(config)
 
 
-def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
-    seen = []
-
-    def recording(quads, rtol=None):
-        seen.append(rtol)
-        return real(quads, rtol=rtol)
-
-    real = projective.cross_ratios
-    monkeypatch.setattr(projective, "cross_ratios", recording)
-    config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
-    records = check_harmonic(config, rtol=1e-7)
-    assert records and all(r.verdict for r in records)
-    assert set(seen) == {1e-7}
-
-
 def _weights_of(monkeypatch, coefficients):
     """solve_weights on a weight system with the given n x m coefficients."""
     n, m = coefficients.shape
@@ -449,31 +429,37 @@ def _four_flat(third, fourth):
 def test_harmonic_orthogonal_pair_cut(factor):
     """Covectors 1 and 2 count as an orthogonal pair when their normalized
     pairing is below orthogonal_pair_tol(rtol).  With 3 and 4 at +-45 degrees
-    and |4|^2 = 1 + e, the pairing is (e / 2) / (2 + e / 2)."""
-    cut = orthogonal_pair_tol(DEFAULT_RTOL)
-    e = 4 * factor * cut / (1 - factor * cut)
-    h = math.sqrt(0.5)
-    config = _four_flat((h, h), (h * math.sqrt(1 + e), -h * math.sqrt(1 + e)))
-    P = config.analysis.pairings
-    assert abs(P[0, 1]) / math.sqrt(P[0, 0] * P[1, 1]) == pytest.approx(factor * cut, rel=1e-6)
-    pairs = {r.orthogonal_pair for r in check_harmonic(config)}
-    assert (("1", "2") in pairs) == (factor < 1)
-    assert ("3", "4") in pairs
+    and |4|^2 = 1 + e, the pairing is (e / 2) / (2 + e / 2).  The cut
+    follows the rtol a call is given."""
+    for rtol in (None, 1e-7):
+        cut = orthogonal_pair_tol(resolve(rtol))
+        e = 4 * factor * cut / (1 - factor * cut)
+        h = math.sqrt(0.5)
+        config = _four_flat((h, h), (h * math.sqrt(1 + e), -h * math.sqrt(1 + e)))
+        P = config.analysis.pairings
+        assert abs(P[0, 1]) / math.sqrt(P[0, 0] * P[1, 1]) == pytest.approx(factor * cut,
+                                                                             rel=1e-6)
+        pairs = {r.orthogonal_pair for r in check_harmonic(config, rtol=rtol)}
+        assert (("1", "2") in pairs) == (factor < 1)
+        assert ("3", "4") in pairs
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_harmonic_ratio_cut(factor):
     """A quad is harmonic when its cross-ratio is within harmonic_tol(rtol)
     of -1.  With 3 at 45 degrees and 4 at -phi, scaled so that 1 and 2 stay
-    orthogonal, the cross-ratio (3, 4; 1, 2) is -1 / tan(phi)."""
-    d = factor * harmonic_tol(DEFAULT_RTOL)
-    phi = math.atan(1 / (1 - d))
-    scale = 1 / math.sqrt(math.sin(2 * phi))  # |4|^2 sin(2 phi) = |3|^2 sin(90 degrees)
-    h = math.sqrt(0.5)
-    config = _four_flat((h, h), (scale * math.cos(phi), -scale * math.sin(phi)))
-    [record] = [r for r in check_harmonic(config) if r.orthogonal_pair == ("1", "2")]
-    assert record.cross_ratio + 1 == pytest.approx(d, rel=1e-6)
-    assert record.verdict == (factor < 1)
+    orthogonal, the cross-ratio (3, 4; 1, 2) is -1 / tan(phi).  The cut
+    follows the rtol a call is given."""
+    for rtol in (None, 1e-7):
+        d = factor * harmonic_tol(resolve(rtol))
+        phi = math.atan(1 / (1 - d))
+        scale = 1 / math.sqrt(math.sin(2 * phi))  # |4|^2 sin(2 phi) = |3|^2 sin(90 degrees)
+        h = math.sqrt(0.5)
+        config = _four_flat((h, h), (scale * math.cos(phi), -scale * math.sin(phi)))
+        [record] = [r for r in check_harmonic(config, rtol=rtol)
+                    if r.orthogonal_pair == ("1", "2")]
+        assert record.cross_ratio + 1 == pytest.approx(d, rel=1e-6)
+        assert record.verdict == (factor < 1)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
