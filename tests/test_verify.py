@@ -392,6 +392,25 @@ def test_underflowing_planes_read_as_degenerate():
         check_vee(config)
 
 
+def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
+    """The rtol of a call reaches the plane analysis the cross-ratios are
+    read from and both cuts of the cross-ratio step."""
+    seen = []
+
+    def recording(real):
+        def wrapper(config_or_tol, *args):
+            seen.append(args[0] if args else config_or_tol)
+            return real(config_or_tol, *args)
+        return wrapper
+
+    for name in ("plane_analysis", "orthogonal_pair_tol", "harmonic_tol"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    config = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
+    records = check_harmonic(config, rtol=1e-7)
+    assert records and all(r.verdict for r in records)
+    assert len(seen) == 3 and set(seen) == {1e-7}
+
+
 def _weights_of(monkeypatch, coefficients):
     """solve_weights on a weight system with the given n x m coefficients."""
     n, m = coefficients.shape
