@@ -47,7 +47,8 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 # the fields whose floats are written .3e; every other float is written .12g
 SCIENTIFIC = frozenset(
-    {"rtol", "maxResidual", "residual", "spectralGap", "angularError", "maxAngularError"}
+    {"rtol", "maxResidual", "conditionNumber", "residual", "spectralGap", "angularError",
+     "maxAngularError"}
 )
 
 # the shipped reconstruction scripts, sorted(catalogue.SCRIPT_REFERENCES),
@@ -259,7 +260,7 @@ def cmd_verify(rtol, input, catalogue_id, params_text):
     return vee.is_vee_system, source, [
         ("covectors", config.n), ("dimension", config.dimension),
         ("isVeeSystem", vee.is_vee_system), ("maxResidual", vee.max_residual),
-        ("flats", flats),
+        ("conditionNumber", vee.form.condition_number), ("flats", flats),
     ]
 
 

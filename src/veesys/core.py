@@ -7,7 +7,11 @@ space, stored as the columns of an r x n matrix.  The canonical form is
 
 i.e. G = A A^T for the column matrix A.  It identifies the space with its
 dual; the dual of a covector alpha is  alpha_dual = G^{-1} alpha, and the
-induced scalar product of two covectors is  alpha^T G^{-1} beta.
+induced scalar product of two covectors is  alpha^T G^{-1} beta, the entry
+of P = A^T G^{-1} A.  With the reduced SVD A = U S V^T, P = V V^T: the
+orthonormal rows of V^T span the row space of A, and their columns are the
+covectors whitened by G, so P is read off them without forming G^{-1}.
+P is unchanged by A -> L A for any invertible L, a global scale included.
 """
 
 from __future__ import annotations
@@ -127,11 +131,12 @@ class CovectorConfiguration:
 
 
 class CanonicalForm:
-    """The form G = sum alpha alpha^T, its inverse, and its condition number."""
+    """The form G = sum alpha alpha^T, an orthonormal basis of the row space
+    of A, and the condition number of G."""
 
-    def __init__(self, gram, gram_inverse, condition_number):
+    def __init__(self, gram, basis, condition_number):
         self.gram = _as_readonly(gram)
-        self.gram_inverse = _as_readonly(gram_inverse)
+        self.basis = _as_readonly(basis)  # r x n V^T: column k is covector k whitened by G
         self.condition_number = condition_number
 
 
@@ -146,11 +151,11 @@ class PlaneAnalysis:
 
     def __init__(self, form, pairings, decomposition, residuals, nus, ratios, max_residual):
         self.form = form  # the CanonicalForm
-        self.pairings = pairings  # P = A^T G^{-1} A
+        self.pairings = pairings  # P = A^T G^{-1} A = basis^T basis
         self.decomposition = decomposition  # the configuration's matroid.FlatDecomposition
-        self.residuals = residuals  # pair: |P_ij| / sqrt(P_ii P_jj); multi: see analyse
+        self.residuals = residuals  # pair: |P_ij| / (sqrt(P_ii) sqrt(P_jj)); multi: see analyse
         self.nus = nus  # 1/2 sum of P_kk over the members
-        self.ratios = ratios  # multi flats: |u ^ v| / (|u| |v|) of the first two member duals
+        self.ratios = ratios  # multi flats: |u ^ v| / (|u| |v|) of the first two whitened duals
         self.max_residual = max_residual
 
     @property
@@ -174,45 +179,38 @@ class PlaneAnalysis:
 
 
 def canonical_form(config):
-    """Compute the canonical form G of a configuration.
+    """Compute the canonical form G of a configuration from one reduced SVD
+    of its r x n matrix, A = U S V^T: G's eigenvalues are the squared
+    singular values.
 
     Raises SingularForm when the covectors fail to span (should not happen
     for configurations built through CovectorConfiguration, which enforces
     the span invariant, but loaded/constructed matrices are re-checked here).
     """
     A = config.matrix
-    r = config.dimension
-    G = A @ A.T
-    G = 0.5 * (G + G.T)  # symmetrize against round-off
-    eigvals = np.linalg.eigvalsh(G)  # ascending
-    cut = eigvals[-1] * SINGULAR_FORM_RTOL
-    if eigvals[0] <= cut:  # the rank, the count above the cut, is below r
-        raise SingularForm(int(np.sum(eigvals > cut)), r)
-    G_inv = np.linalg.inv(G)
-    G_inv = 0.5 * (G_inv + G_inv.T)
-    return CanonicalForm(G, G_inv, float(eigvals[-1] / eigvals[0]))
-
-
-def pairing_matrix(config, form):
-    """All pairwise canonical products as an n x n symmetric matrix."""
-    M = config.matrix.T @ form.gram_inverse @ config.matrix
-    return 0.5 * (M + M.T)
+    s, basis = np.linalg.svd(A, full_matrices=False)[1:]
+    eigvals = (s / s[0]) ** 2  # G's eigenvalues over the largest, descending
+    if eigvals[-1] <= SINGULAR_FORM_RTOL:  # the rank, the count above the cut, is below r
+        raise SingularForm(int(np.count_nonzero(eigvals > SINGULAR_FORM_RTOL)), config.dimension)
+    return CanonicalForm(A @ A.T, basis, float(1 / eigvals[-1]))
 
 
 def analyse(config):
     """The PlaneAnalysis of a configuration (``config.analysis`` caches it).
 
-    Every plane quantity is an entry of P, since gamma(G^{-1} alpha) =
-    P[gamma, alpha].  For a flat with first members i, j the restriction of
-    G to the dual plane is (P_ii, P_ij, P_jj) and that of the plane form is
-    the sum over members k of (P_ki P_ki, P_ki P_kj, P_kj P_kj).  A multi
-    flat's residual is the relative deviation of the plane form from nu * G
-    restricted, with nu the least-squares factor, and its ratio measures how
-    far its first two duals are from proportional.  Every flat is read from
-    P as arrays; the m multi flats pay n x m work.
+    Every plane quantity is an entry of P = basis^T basis, since
+    gamma(G^{-1} alpha) = P[gamma, alpha].  For a flat with first members
+    i, j the restriction of G to the dual plane is (P_ii, P_ij, P_jj) and
+    that of the plane form is the sum over members k of (P_ki P_ki, P_ki P_kj,
+    P_kj P_kj).  A pair flat's residual is |P_ij| / (sqrt(P_ii) sqrt(P_jj)).
+    A multi flat's residual is the relative deviation of the plane form from
+    nu * G restricted, with nu the least-squares factor, and its ratio
+    measures how far its first two duals are from proportional in the
+    G-metric, read off their whitened duals, the basis columns.  Every flat
+    is read from P as arrays; the m multi flats pay n x m work.
     """
     form = canonical_form(config)
-    P = pairing_matrix(config, form)
+    P = form.basis.T @ form.basis  # exactly symmetric: numpy takes it as a syrk product
     decomp = config.decomposition
     pair_i, pair_j = decomp.pair_members.T
     i, j = decomp.multi_leads.T
@@ -227,14 +225,13 @@ def analyse(config):
     nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
     g11, g22 = diag[pair_i], diag[pair_j]
     residuals = np.concatenate([
-        np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
+        _quotient(np.abs(P[pair_i, pair_j]), np.sqrt(g11) * np.sqrt(g22)),
         np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
                           (weight * gp * gp).sum(0))),
     ])
     nus = 0.5 * np.concatenate([g11 + g22, diag @ decomp.multi_incidence])
 
-    duals = form.gram_inverse @ config.matrix
-    u, v = duals[:, i], duals[:, j]
+    u, v = form.basis[:, i], form.basis[:, j]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
                        np.sqrt((u * u).sum(0)) * np.sqrt((v * v).sum(0)))

@@ -89,11 +89,11 @@ def build_system(config, mode=FREE_NU, rtol=None):
     matrix = _assemble_rows(analysis, mode)
     # drop rows that vanish to round-off before scaling rows to unit norm
     norms = np.sqrt((matrix * matrix).sum(axis=1))
-    keep = norms > norms.max() * ROW_DROP_RTOL
+    keep = norms > norms.max(initial=1.0) * ROW_DROP_RTOL
     matrix = matrix[keep] / norms[keep, None]
 
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    threshold = svals[0] * RANK_RTOL * max(matrix.shape)
+    svals = np.linalg.svd(matrix, compute_uv=False)  # empty when every row is dropped
+    threshold = svals.max(initial=0.0) * RANK_RTOL * max(matrix.shape)
     rank = int(np.count_nonzero(svals > threshold))
     # the kept margin: how far the smallest kept value clears the threshold
     gap = float(svals[rank - 1] / threshold) if rank else float("inf")

@@ -43,12 +43,15 @@ def resolve(rtol=None):
 # test is scale-invariant.
 COPLANAR_TOL = 1e-9
 
-# G = A A^T is singular at this eigenvalue ratio: a singular-value ratio of A near 3e-7.
+# G = A A^T is singular when (s_min / s_max)^2, over the singular values s of A, is at most
+# this: G's eigenvalue ratio, at a singular-value ratio of A near 3e-7.
 SINGULAR_FORM_RTOL = 1e-13
 
 # --- deformation systems (deform) -------------------------------------------
 
-# Rows below this fraction of the longest are round-off; scaled to unit norm they would be noise.
+# Rows no longer than this times the longest row, or than this itself, are round-off: P is an
+# orthogonal projector, so |P_ij| <= 1 fixes the scale of its round-off.  Scaled to unit norm
+# such rows would be noise; a system whose rows are all round-off has rank 0.
 ROW_DROP_RTOL = 1e-9
 
 # Singular values below smax * RANK_RTOL * max(m, n) are treated as zero when

@@ -22,17 +22,22 @@ class PlaneForm:
     restricted_plane_gram: np.ndarray
 
 
-def dual(config, form, index):
+def gram_inverse(config):
+    """G^{-1}, inverted from G = A A^T."""
+    return np.linalg.inv(config.matrix @ config.matrix.T)
+
+
+def dual(config, index):
     """The dual vector G^{-1} alpha of covector ``index`` (0-based)."""
-    return form.gram_inverse @ config.covector(index)
+    return gram_inverse(config) @ config.covector(index)
 
 
-def pairing(config, form, i, j):
+def pairing(config, i, j):
     """The canonical scalar product alpha_i^T G^{-1} alpha_j."""
-    return float(config.covector(i) @ form.gram_inverse @ config.covector(j))
+    return float(config.covector(i) @ gram_inverse(config) @ config.covector(j))
 
 
-def restrict_forms(config, form, flat, rtol=None):
+def restrict_forms(config, flat, rtol=None):
     """Restrict G and the plane form G^Pi of a flat to the flat's dual plane.
 
     The basis is (alpha_dual, beta_dual) for the flat's first two members.
@@ -40,8 +45,8 @@ def restrict_forms(config, form, flat, rtol=None):
     """
     members = list(flat.members) if hasattr(flat, "members") else list(flat)
     i, j = members[0], members[1]
-    u = dual(config, form, i)
-    v = dual(config, form, j)
+    u = dual(config, i)
+    v = dual(config, j)
     nu_ = np.linalg.norm(u)
     nv_ = np.linalg.norm(v)
     tol = resolve(rtol)
@@ -52,8 +57,8 @@ def restrict_forms(config, form, flat, rtol=None):
     # G(x, y) evaluated on dual vectors equals the canonical pairing.
     g = np.array(
         [
-            [pairing(config, form, i, i), pairing(config, form, i, j)],
-            [pairing(config, form, i, j), pairing(config, form, j, j)],
+            [pairing(config, i, i), pairing(config, i, j)],
+            [pairing(config, i, j), pairing(config, j, j)],
         ]
     )
     # G^Pi(x, y) = sum over flat members gamma of gamma(x) gamma(y).

@@ -30,7 +30,6 @@ from veesys import (
     solve_weights,
     to_projective,
 )
-from veesys.core import canonical_form
 from veesys.matroid import YES
 
 ALL_IDS = sorted(catalogue.ids())
@@ -97,10 +96,9 @@ def test_c2_nu_trace_matches_least_squares():
             for params in _grid(ident):
                 config = catalogue.construct(ident, params)
                 report = check_vee(config)
-                form = canonical_form(config)
                 for k in report.decomposition.multi_flats:
                     f = report.decomposition.flats[k]
-                    pf = restrict_forms(config, form, f)
+                    pf = restrict_forms(config, f)
                     g, gp = pf.restricted_gram, pf.restricted_plane_gram
                     lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
                     trace = report.nu_function[config.sublabels(f.members)]

@@ -129,7 +129,7 @@ def test_only_construction_errors_become_failed_rows(monkeypatch, error, collect
 
 @pytest.mark.parametrize("c1, error", [
     (1e-20, "canonical form is singular: numerical rank 2 < dimension 3"),
-    (1e100, "flat members 2, 3 are proportional"),
+    (1e100, "flat members 1, 3 are proportional"),
 ])
 def test_plane_check_errors_become_failed_rows(c1, error):
     """Admissible parameters that construct but fail the plane check (a

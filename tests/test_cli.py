@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -208,6 +209,20 @@ def test_deform_fixed_mode(runner):
                                   "--mode", "fixed"])
     assert result.exit_code == 0
     assert "corank: 1" in result.output
+
+
+def test_deform_on_a_system_of_round_off_rows(tmp_path):
+    """Every deformation equation of this reducible system is round-off, so
+    the process reports rank 0 and corank 4 instead of ending in a traceback."""
+    path = tmp_path / "reducible.json"
+    path.write_text('{"dimension": 3, "covectors": '
+                    '[["-2", "0", "1"], ["0", "-1", "0"], ["0", "0", "-1"], ["1", "0", "0"]]}')
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", "deform", str(path)],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert {"rank: 0", "corank: 4", "spectralGap: inf"} <= set(lines), result.stdout
 
 
 def test_deform_grid(runner):
@@ -542,7 +557,9 @@ def test_deform_grid_takes_catalogue_only(runner, h3_file, extra):
 
 
 # The full text, apart from the "# elapsed" trailer, of one report of each
-# shape: these are the lines bench/checks.py parses.
+# shape: these are the lines bench/checks.py parses.  ROUND_OFF stands for a
+# float below 1e-15: a residual that is round-off has no fixed digits.
+ROUND_OFF = "<1e-15"
 GOLDEN_REPORTS = {
     "verify --catalogue A3 --params c1=1,c2=1,c3=1": """\
 tool: veesys 0.1.0
@@ -552,15 +569,16 @@ rtol: 1.000e-09
 covectors: 6
 dimension: 3
 isVeeSystem: True
-maxResidual: 0.000e+00
+maxResidual: <1e-15
+conditionNumber: 4.000e+00
 flats:
-  (1 6): pair residual=0.000e+00
-  (2 5): pair residual=0.000e+00
-  (3 4): pair residual=0.000e+00
-  (1 2 4): multi residual=0.000e+00 nu=0.75
-  (1 3 5): multi residual=0.000e+00 nu=0.75
-  (2 3 6): multi residual=0.000e+00 nu=0.75
-  (4 5 6): multi residual=0.000e+00 nu=0.75
+  (1 6): pair residual=<1e-15
+  (2 5): pair residual=<1e-15
+  (3 4): pair residual=<1e-15
+  (1 2 4): multi residual=<1e-15 nu=0.75
+  (1 3 5): multi residual=<1e-15 nu=0.75
+  (2 3 6): multi residual=<1e-15 nu=0.75
+  (4 5 6): multi residual=<1e-15 nu=0.75
 """,
     "harmonic --catalogue B3 --params c1=1,c2=1,c3=1,gamma=0": """\
 tool: veesys 0.1.0
@@ -648,7 +666,13 @@ degeneration:
 def test_golden_report(runner, args):
     result = runner.invoke(main, args.split())
     assert result.exit_code == 0, result.output
-    assert "".join(line + "\n" for line in _body(result.output)) == GOLDEN_REPORTS[args]
+    lines, golden = list(_body(result.output)), GOLDEN_REPORTS[args].splitlines()
+    assert len(lines) == len(golden), result.output
+    for line, expected in zip(lines, golden):
+        head, *rest = expected.split(ROUND_OFF)
+        pattern = re.escape(head) + "".join(r"(\S+)" + re.escape(part) for part in rest)
+        match = re.fullmatch(pattern, line)
+        assert match and all(float(v) < 1e-15 for v in match.groups()), (line, expected)
 
 
 def _harmonic_rows(params):

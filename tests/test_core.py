@@ -14,7 +14,6 @@ from veesys import (
     projective,
     verify,
 )
-from veesys.core import pairing_matrix
 from veesys.errors import SingularForm
 from veesys.tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 
@@ -36,11 +35,10 @@ def test_h3_gram_oracle():
 
 def test_f3_dual_oracle():
     config = catalogue.construct("F3", {"t": 1})
-    form = canonical_form(config)
     index = config.labels.index("1")
     assert np.allclose(config.covector(index), [math.sqrt(6), 0, 0], atol=1e-12)
     assert np.allclose(
-        dual(config, form, index), [math.sqrt(6) / 18, 0, 0], atol=1e-12
+        dual(config, index), [math.sqrt(6) / 18, 0, 0], atol=1e-12
     )
 
 
@@ -49,17 +47,16 @@ def test_reproducing_property():
     form = canonical_form(config)
     for i in range(config.n):
         # G(alpha_i_dual, .) must reproduce alpha_i as a functional
-        reproduced = form.gram @ dual(config, form, i)
+        reproduced = form.gram @ dual(config, i)
         assert np.allclose(reproduced, config.covector(i), atol=1e-10)
 
 
 def test_pairing_matrix_matches_pairing():
     config = catalogue.construct("H3", {})
-    form = canonical_form(config)
-    P = pairing_matrix(config, form)
+    P = config.analysis.pairings
     for i in (0, 3, 7):
         for j in (1, 5, 14):
-            assert P[i, j] == pytest.approx(pairing(config, form, i, j), abs=1e-14)
+            assert P[i, j] == pytest.approx(pairing(config, i, j), abs=1e-14)
 
 
 def test_rejects_zero_covector():

@@ -115,6 +115,33 @@ def test_row_drop_cut(monkeypatch, factor, rank):
     assert system.rank == rank
 
 
+@pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
+def test_row_drop_cut_has_a_floor_of_one(monkeypatch, factor, rank):
+    """When every row is shorter than 1, the bound on P's entries, a row is
+    dropped below ROW_DROP_RTOL itself rather than below that fraction of
+    the longest row."""
+    config = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
+    rows = np.eye(config.n)[:4] * np.array([[1e-3], [1e-3], [1e-3], [factor * ROW_DROP_RTOL]])
+    monkeypatch.setattr(deform, "_assemble_rows", lambda analysis, mode: rows)
+    assert build_system(config, FREE_NU).rank == rank
+
+
+# covector 2 is orthogonal to the plane of the other three: every equation is round-off
+REDUCIBLE = np.array([[-2.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("mode", [FREE_NU, FIXED_NU])
+@pytest.mark.parametrize("matrix", [REDUCIBLE, np.array([[2.0]])], ids=["reducible", "single"])
+def test_system_whose_rows_are_all_round_off_has_rank_0(mode, matrix):
+    """Rows of round-off are dropped, all of them here, and the empty
+    system has rank 0: every scaling is a first-order deformation."""
+    config = CovectorConfiguration(matrix)
+    system = build_system(config, mode)
+    assert system.matrix.shape == (0, config.n)
+    assert (system.rank, system.corank, system.spectral_gap) == (0, config.n, float("inf"))
+    assert system.kernel_basis.shape == (config.n, config.n)
+
+
 def _full_svd_reference(matrix):
     """Rank, corank, spectral gap, singular values and kernel basis of a
     deformation matrix from one full SVD, as build_system computed them
@@ -192,16 +219,14 @@ def test_callers_leave_the_kernel_basis_unread(monkeypatch):
 
 
 def _reference_analysis(config):
-    """Every PlaneAnalysis array assembled from scratch: G, G^{-1}, P, the
-    residuals, the nus and the ratios, in the arithmetic order of the
-    per-flat formulas."""
+    """Every PlaneAnalysis array assembled from scratch: G, the row basis
+    V^T of A's reduced SVD, P, the residuals, the nus and the ratios, in the
+    arithmetic order of the per-flat formulas."""
     A = config.matrix
     G = A @ A.T
-    G = 0.5 * (G + G.T)
-    G_inv = np.linalg.inv(G)
-    G_inv = 0.5 * (G_inv + G_inv.T)
-    P = A.T @ G_inv @ A
-    P = 0.5 * (P + P.T)
+    Vt = np.linalg.svd(A, full_matrices=False)[2]
+    P = Vt.T @ Vt
+    assert (P == P.T).all()  # exactly symmetric, with no symmetrisation
     decomp = config.decomposition
     pair_i, pair_j = decomp.pair_members.T
     i, j = decomp.multi_leads.T
@@ -213,17 +238,17 @@ def _reference_analysis(config):
     nu_lsq = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     num, den = (weight * (gp - nu_lsq * g) ** 2).sum(0), (weight * gp * gp).sum(0)
     g11, g22 = P[pair_i, pair_i], P[pair_j, pair_j]
+    pair_num, pair_den = np.abs(P[pair_i, pair_j]), np.sqrt(g11) * np.sqrt(g22)
     residuals = np.concatenate([
-        np.abs(P[pair_i, pair_j]) / np.sqrt(g11 * g22),
+        np.divide(pair_num, pair_den, out=np.zeros_like(pair_num), where=pair_den > 0),
         np.sqrt(np.divide(num, den, out=np.zeros_like(num), where=den > 0))])
     nus = 0.5 * np.concatenate([g11 + g22, np.diag(P) @ incidence])
-    duals = G_inv @ A
-    u, v = duals[:, i], duals[:, j]
+    u, v = Vt[:, i], Vt[:, j]
     wedge = u[:, None] * v[None] - v[:, None] * u[None]
     num = np.sqrt((wedge ** 2).sum((0, 1)))
     den = np.linalg.norm(u, axis=0) * np.linalg.norm(v, axis=0)
     ratios = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return {"gram": G, "gram_inverse": G_inv, "pairings": P, "residuals": residuals,
+    return {"gram": G, "basis": Vt, "pairings": P, "residuals": residuals,
             "nus": nus, "ratios": ratios}
 
 
@@ -259,7 +284,7 @@ def test_analysis_and_deformation_matrices_match_a_from_scratch_assembly():
         config = catalogue.construct(ident, params)
         analysis = config.analysis
         for name, expected in _reference_analysis(config).items():
-            got = getattr(analysis.form if name.startswith("gram") else analysis, name)
+            got = getattr(analysis.form if name in ("gram", "basis") else analysis, name)
             assert _bitwise_equal(got, expected), (ident, params, name)
         assert analysis.max_residual == analysis.residuals.max(initial=0.0)
         modes = (FREE_NU, FIXED_NU) if k % 2 else (FIXED_NU, FREE_NU)
@@ -267,6 +292,6 @@ def test_analysis_and_deformation_matrices_match_a_from_scratch_assembly():
             rows = _reference_rows(config, mode)
             assert _bitwise_equal(deform._assemble_rows(analysis, mode), rows), (ident, mode)
             norms = np.sqrt((rows * rows).sum(axis=1))
-            keep = norms > norms.max() * ROW_DROP_RTOL
+            keep = norms > max(norms.max(), 1.0) * ROW_DROP_RTOL
             expected = rows[keep] / norms[keep, None]
             assert _bitwise_equal(build_system(config, mode).matrix, expected), (ident, mode)

@@ -7,6 +7,7 @@ scaling) are exact mathematical statements, so the tolerances are tight.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from veesys import (
     check_harmonic,
     check_vee,
     decompose,
+    deform,
     solve_weights,
 )
 
@@ -80,6 +82,50 @@ def test_gl_invariance_of_weights_and_harmonic():
         assert records and all(r.verdict for r in records), trial
 
 
+def _conditioned_gl3(rng, cond):
+    """A random invertible 3x3 map whose condition number is ``cond``."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    return q1 @ np.diag([1.0, cond ** -0.5, 1.0 / cond]) @ q2
+
+
+def _verdicts(config):
+    """The flats, nu-function and free-nu corank of a vee system."""
+    report = check_vee(config)
+    assert report.is_vee_system, report.max_residual
+    flats = [f.members for f in report.decomposition.flats]
+    return flats, report.nu_function, deform.build_system(config, deform.FREE_NU).corank
+
+
+def test_ill_conditioned_and_rescaled_images_keep_the_verdicts():
+    """The plane conditions are invariant under A -> L A: each grid point's
+    images under two seeded maps L per cond(L) in 1e2 ... 1e5, and under the
+    global scales 1e100 and 1e+-150, stay vee systems with the same flats,
+    nu-function (to 1e-7, as in C11) and free-nu corank, with no warning.
+    Past cond(L) 1e5 the coplanarity decisions of flat enumeration
+    contradict each other."""
+    rng = np.random.default_rng(28)
+    images = 0
+    for ident in catalogue.ids():
+        for params in catalogue.entry(ident).default_grid:
+            base = catalogue.construct(ident, params)
+            flats, nus, corank = _verdicts(base)
+            named = [(f"cond {cond:.0e}", base.transformed(_conditioned_gl3(rng, cond)))
+                     for cond in (1e2, 1e3, 1e4, 1e5) for _ in range(2)]
+            named += [(f"scale {scale:.0e}", base.scaled(scale))
+                      for scale in (1e100, 1e150, 1e-150)]
+            for name, image in named:
+                where = (ident, params, name)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got_flats, got_nus, got_corank = _verdicts(image)
+                assert got_flats == flats and got_corank == corank, where
+                assert got_nus.keys() == nus.keys(), where
+                for labels, nu in nus.items():
+                    assert got_nus[labels] == pytest.approx(nu, rel=1e-7), (where, labels)
+                images += 1
+    assert images == 37 * 11
+
+
 def test_uniform_scaling_invariance_of_nu():
     rng = np.random.default_rng(7)
     base = check_vee(catalogue.construct("F3", {"t": 1}))
@@ -109,17 +155,15 @@ def test_pair_coverage_identity_random_configs():
 def _brute_force_vee(config, tol=1e-9):
     """Direct check: on every rank-2 flat the dual covectors must satisfy
     sum_beta <beta, member> beta-dual proportional to member-dual."""
-    from plane_reference import pairing
-    from veesys.core import canonical_form
+    from plane_reference import gram_inverse, pairing
 
-    form = canonical_form(config)
-    duals = form.gram_inverse @ config.matrix
+    duals = gram_inverse(config) @ config.matrix
     decomp = decompose(config)
     for f in decomp.flats:
         for m in f.members:
             acc = np.zeros(3)
             for k in f.members:
-                acc += pairing(config, form, k, m) * duals[:, k]
+                acc += pairing(config, k, m) * duals[:, k]
             target = duals[:, m]
             cross = np.outer(acc, target) - np.outer(target, acc)
             scale = max(np.linalg.norm(acc) * np.linalg.norm(target), 1e-30)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plane_reference import dual, pairing, restrict_forms
+from plane_reference import pairing, restrict_forms
 from veesys import (
     DEFAULT_RTOL,
     CovectorConfiguration,
@@ -50,7 +50,7 @@ def test_nu_trace_equals_proportionality_factor():
         labels = config.sublabels(f.members)
         # the report's nu comes from the trace formula; recompute the
         # least-squares factor directly from the restricted forms
-        pf = restrict_forms(config, report.form, f)
+        pf = restrict_forms(config, f)
         g, gp = pf.restricted_gram, pf.restricted_plane_gram
         lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
         assert report.nu_function[labels] == pytest.approx(lsq, rel=1e-10)
@@ -175,24 +175,23 @@ def _gl3_images(rng, per_family):
 
 
 def _reference_planes(config):
-    """Per flat (labels, residual, least-squares nu, trace nu, ratio of the
-    first two duals), from restrict_forms and one pairing call per entry,
+    """Per flat (labels, residual, least-squares nu, trace nu, G-metric
+    ratio of the first two duals), from restrict_forms and one pairing call per entry,
     without the shared analysis.  Pair flats have neither least-squares nu
     nor ratio."""
-    form = canonical_form(config)
     planes = []
     for f in decompose(config).flats:
         i, j = f.members[:2]
-        trace = 0.5 * sum(pairing(config, form, k, k) for k in f.members)
+        trace = 0.5 * sum(pairing(config, k, k) for k in f.members)
         if f.is_pair:
-            scale = np.sqrt(pairing(config, form, i, i) * pairing(config, form, j, j))
+            scale = np.sqrt(pairing(config, i, i) * pairing(config, j, j))
             planes.append((config.sublabels(f.members),
-                           abs(pairing(config, form, i, j)) / scale, None, trace, None))
+                           abs(pairing(config, i, j)) / scale, None, trace, None))
             continue
-        u, v = dual(config, form, i), dual(config, form, j)
-        ratio = np.linalg.norm(np.outer(u, v) - np.outer(v, u)) / (
-            np.linalg.norm(u) * np.linalg.norm(v))
-        pf = restrict_forms(config, form, f)
+        # the sine of the G-angle between the two duals, times sqrt(2)
+        pii_pjj = pairing(config, i, i) * pairing(config, j, j)
+        ratio = math.sqrt(2 * (pii_pjj - pairing(config, i, j) ** 2) / pii_pjj)
+        pf = restrict_forms(config, f)
         g, gp = pf.restricted_gram, pf.restricted_plane_gram
         lsq = float(np.tensordot(gp, g) / np.tensordot(g, g))
         residual = float(np.linalg.norm(gp - lsq * g) / np.linalg.norm(gp))
@@ -380,15 +379,17 @@ def test_cached_analysis_holds_no_tolerance():
 
 
 def test_underflowing_planes_read_as_degenerate():
-    """A3 at c1 = 1e300: the duals of covectors 2 and 3 underflow, so the
-    plane data of the multi flats through them are 0/0.  Those flats read as
+    """A3 at c1 = 1e300: covectors 2 and 3 sit about 1e-150 below the
+    round-off of P, and the whitened dual of covector 3 is 0, so the plane
+    data of the multi flats through it are 0/0.  Those flats read as
     degenerate, with no NaN and no numpy warning (a warning fails the test)."""
     config = catalogue.construct("A3", {"c1": 1e300, "c2": 1, "c3": 1})
     analysis = config.analysis
     for values in (analysis.residuals, analysis.nus, analysis.ratios):
         assert np.isfinite(values).all()
-    assert (analysis.ratios == 0).all()
-    with pytest.raises(DegeneratePlane, match="flat members 1, 2 are proportional"):
+    through_3 = [2 in members for members in analysis.decomposition.multi]
+    assert (analysis.ratios == 0).tolist() == through_3 == [False, True, True, False]
+    with pytest.raises(DegeneratePlane, match="flat members 1, 3 are proportional"):
         check_vee(config)
 
 
