@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from . import matroid
-from .errors import SingularForm
 from .tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 
 
@@ -47,10 +46,13 @@ def max_minors(a, b):
 class CovectorConfiguration:
     """A labelled, ordered set of covectors (columns of ``matrix``).
 
-    Invariants enforced at construction: every entry is finite, the
-    covectors span the full r-dimensional space, none is zero, and no two
-    are proportional (2x2 minors below the fixed DEFAULT_RTOL).
-    Configurations compare and hash by identity.
+    Invariants enforced at construction: every entry is finite, none is
+    zero, the covectors span the full r-dimensional space (G's smallest
+    eigenvalue over its largest above SINGULAR_FORM_RTOL), and no two are
+    proportional (2x2 minors below the fixed DEFAULT_RTOL).  Construction
+    keeps the read-only unit covectors ``unit`` and the CanonicalForm
+    ``form`` that every check reads.  Configurations compare and hash by
+    identity.
     """
 
     def __init__(self, matrix, labels=()):
@@ -69,19 +71,29 @@ class CovectorConfiguration:
         if not np.isfinite(matrix).all():
             raise ValueError("covector entries must be finite")
 
-        norms = np.sqrt((matrix * matrix).sum(0))
-        if (norms == 0.0).any():
-            zero = [labels[i] for i in np.flatnonzero(norms == 0.0)]
-            raise ValueError(f"zero covector(s) at label(s) {zero}")
+        zero = np.flatnonzero(~matrix.any(0))
+        if len(zero):
+            raise ValueError(f"zero covector(s) at label(s) {list(self.sublabels(zero))}")
 
-        if np.linalg.matrix_rank(matrix) < r:
-            raise ValueError("covectors do not span the ambient space")
+        # Unit covectors, each column scaled by a power of two before it is
+        # squared: exact in the normal range, and no entry over- or underflows.
+        scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max(0))[1])
+        unit = self.unit = _as_readonly(scaled / np.sqrt((scaled * scaled).sum(0)))
+
+        # The one reduced SVD, A = U S V^T, decides the span: G = A A^T has
+        # the eigenvalues S^2, and its rank is the count above the cut.
+        s, basis = np.linalg.svd(matrix, full_matrices=False)[1:]
+        eigvals = (s / s[0]) ** 2  # G's eigenvalues over the largest, descending
+        if eigvals[-1] <= SINGULAR_FORM_RTOL:
+            rank = np.count_nonzero(eigvals > SINGULAR_FORM_RTOL)
+            raise ValueError(f"covectors do not span the ambient space: "
+                             f"numerical rank {rank} < dimension {r}")
+        self.form = CanonicalForm(matrix, basis, float(1 / eigvals[-1]))
 
         # Reject proportional pairs via normalized 2x2 minors.  For unit
         # covectors the largest minor of the pair (u, v) shrinks with the
         # angle between them, so it suffices to test the pair with the
         # largest |cos|.
-        unit = matrix / norms
         gramlike = np.abs(unit.T @ unit)
         np.fill_diagonal(gramlike, 0.0)
         i, j = divmod(int(gramlike.argmax()), n)
@@ -134,10 +146,15 @@ class CanonicalForm:
     """The form G = sum alpha alpha^T, an orthonormal basis of the row space
     of A, and the condition number of G."""
 
-    def __init__(self, gram, basis, condition_number):
-        self.gram = _as_readonly(gram)
+    def __init__(self, matrix, basis, condition_number):
+        self._matrix = matrix
         self.basis = _as_readonly(basis)  # r x n V^T: column k is covector k whitened by G
         self.condition_number = condition_number
+
+    @cached_property
+    def gram(self):
+        """G = A A^T, formed on first read: only the Gram oracle reads it."""
+        return _as_readonly(self._matrix @ self._matrix.T)
 
 
 class PlaneAnalysis:
@@ -179,20 +196,10 @@ class PlaneAnalysis:
 
 
 def canonical_form(config):
-    """Compute the canonical form G of a configuration from one reduced SVD
-    of its r x n matrix, A = U S V^T: G's eigenvalues are the squared
-    singular values.
-
-    Raises SingularForm when the covectors fail to span (should not happen
-    for configurations built through CovectorConfiguration, which enforces
-    the span invariant, but loaded/constructed matrices are re-checked here).
-    """
-    A = config.matrix
-    s, basis = np.linalg.svd(A, full_matrices=False)[1:]
-    eigvals = (s / s[0]) ** 2  # G's eigenvalues over the largest, descending
-    if eigvals[-1] <= SINGULAR_FORM_RTOL:  # the rank, the count above the cut, is below r
-        raise SingularForm(int(np.count_nonzero(eigvals > SINGULAR_FORM_RTOL)), config.dimension)
-    return CanonicalForm(A @ A.T, basis, float(1 / eigvals[-1]))
+    """The canonical form of a configuration, ``config.form``: construction
+    takes it from one reduced SVD of the r x n matrix, A = U S V^T, whose
+    squared singular values are G's eigenvalues."""
+    return config.form
 
 
 def analyse(config):
@@ -209,7 +216,7 @@ def analyse(config):
     G-metric, read off their whitened duals, the basis columns.  Every flat
     is read from P as arrays; the m multi flats pay n x m work.
     """
-    form = canonical_form(config)
+    form = config.form
     P = form.basis.T @ form.basis  # exactly symmetric: numpy takes it as a syrk product
     decomp = config.decomposition
     pair_i, pair_j = decomp.pair_members.T

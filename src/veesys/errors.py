@@ -5,20 +5,6 @@ class VeesysError(Exception):
     """Base class for all veesys-specific errors."""
 
 
-class SingularForm(VeesysError):
-    """The covectors do not span the ambient space; the canonical form is singular.
-
-    Carries the numerical rank actually found.
-    """
-
-    def __init__(self, rank, dimension):
-        self.rank = rank
-        self.dimension = dimension
-        super().__init__(
-            f"canonical form is singular: numerical rank {rank} < dimension {dimension}"
-        )
-
-
 class DegeneratePlane(VeesysError):
     """Two covectors expected to span a plane are numerically proportional."""
 

@@ -168,11 +168,12 @@ def decompose(config):
 def _enumerate_flats(config):
     """Enumerate the rank-2 flats of a configuration of rank at most 3.
 
-    Covectors are normalized to unit length before the determinant test, so
-    the decomposition is invariant under per-covector scaling.  Covector k
-    lies on the flat through covectors i and j when det(u_i, u_j, u_k) of the
-    unit covectors vanishes within the fixed ``COPLANAR_TOL``, not the
-    relative tolerance (``rtol``) used by the checks.
+    The determinant test reads the configuration's unit covectors
+    ``config.unit``, so the decomposition is invariant under per-covector
+    scaling.  Covector k lies on the flat through covectors i and j when
+    det(u_i, u_j, u_k) of the unit covectors vanishes within the fixed
+    ``COPLANAR_TOL``, not the relative tolerance (``rtol``) used by the
+    checks.
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
     pairs i < j times the unit covectors.  Its rows below ``COPLANAR_TOL``
@@ -183,7 +184,7 @@ def _enumerate_flats(config):
     if r > 3:
         raise RankTooHigh(f"flat enumeration supports rank <= 3, got {r}")
 
-    unit = config.matrix / np.sqrt((config.matrix * config.matrix).sum(0))
+    unit = config.unit
     if r < 3:  # embedded in rank 3, where all its triples are coplanar
         unit = np.vstack([unit, np.zeros((3 - r, n))])
 

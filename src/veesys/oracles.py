@@ -47,8 +47,9 @@ def verify_entry(entry_id, params=None, rtol=None):
     matches the stored one (relative ORACLE_RTOL on the largest entry); the
     plane conditions pass at ``rtol``; the flat lists match exactly as label
     sets; the nu-values (trace formula) match the stored formulas (relative
-    ORACLE_RTOL).  An error from construction or from the plane check (a
-    singular form, a degenerate plane) is a failed row, not raised.
+    ORACLE_RTOL).  An error from construction (covectors that do not span,
+    say) or from the plane check (a degenerate plane) is a failed row, not
+    raised.
     """
     ent = catalogue.entry(entry_id)
     params = dict(params or {})

@@ -20,12 +20,12 @@ whatever rtol a check uses.  COPLANAR_TOL is the only coplanarity
 threshold: when its decisions on the triples contradict each other, flat
 enumeration raises AmbiguousFlats rather than choosing among them.
 
-Three numpy defaults also cut singular values outside this module, and no
-setting moves them: ``np.linalg.matrix_rank``'s default tolerance (the
-largest singular value times max(m, n) times machine epsilon) decides
-whether the covectors span at construction, and ``np.linalg.lstsq`` with
-``rcond=None`` (the same rule) fixes the rank of the least-squares solves
-in ``verify.solve_weights`` and ``projective._place_by_ratio``.
+Two numpy defaults also cut singular values outside this module, and no
+setting moves them: ``np.linalg.lstsq`` with ``rcond=None`` (the largest
+singular value times max(m, n) times machine epsilon) fixes the rank of the
+least-squares solves in ``verify.solve_weights`` and
+``projective._place_by_ratio``.  Whether the covectors span is decided once,
+at construction, against SINGULAR_FORM_RTOL.
 """
 
 DEFAULT_RTOL = 1e-9
@@ -44,7 +44,8 @@ def resolve(rtol=None):
 COPLANAR_TOL = 1e-9
 
 # G = A A^T is singular when (s_min / s_max)^2, over the singular values s of A, is at most
-# this: G's eigenvalue ratio, at a singular-value ratio of A near 3e-7.
+# this: G's eigenvalue ratio, at a singular-value ratio of A near 3e-7.  Construction rejects
+# covectors that do not span by this cut.
 SINGULAR_FORM_RTOL = 1e-13
 
 # --- deformation systems (deform) -------------------------------------------

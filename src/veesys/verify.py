@@ -77,7 +77,9 @@ def plane_analysis(config, rtol=None):
     Raises DegeneratePlane, naming the first such flat in
     ``decomposition.multi`` order, when the first two members of a multi
     flat have numerically proportional duals: its ``ratios`` entry is below
-    ``rtol``.
+    ``rtol``.  Raises it next, naming the first such covector, when a
+    covector's canonical norm P_kk underflows to 0, which would pass its
+    pair flats vacuously.
     """
     tol = resolve(rtol)
     analysis = config.analysis
@@ -87,6 +89,9 @@ def plane_analysis(config, rtol=None):
         raise DegeneratePlane(
             f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
         )
+    vanishing = (np.diag(analysis.pairings) == 0).nonzero()[0]
+    if len(vanishing):
+        raise DegeneratePlane(f"covector {config.labels[vanishing[0]]} has canonical norm 0")
     return analysis
 
 
@@ -232,8 +237,7 @@ def check_extension(inner, outer, embedding, rtol=None):
     if any(not (0 <= k < outer.n) for k in emb):
         raise BadEmbedding("embedding maps outside the outer configuration")
 
-    units = [m / np.linalg.norm(m, axis=0) for m in (inner.matrix, outer.matrix[:, emb])]
-    if (max_minors(*units) > embedding_tol(tol)).any():
+    if (max_minors(inner.unit, outer.unit[:, emb]) > embedding_tol(tol)).any():
         return ExtensionReport(False, None)
 
     in_plan, out_plan = plane_analysis(inner, tol), plane_analysis(outer, tol)

@@ -61,7 +61,8 @@ def test_unknown_parameters_raise():
 
 
 @pytest.mark.parametrize("ident, params, reason", [
-    ("F3", {"t": 1e-200}, "zero covector"),
+    ("A3", {"c1": 1e-20, "c2": 1, "c3": 1}, "do not span the ambient space: numerical rank 2 "
+                                            "< dimension 3"),
     ("G3", {"t": 1e200}, "do not span"),
     ("A3", {"c1": 1, "c2": 1, "c3": 1e-200}, "do not span"),
     ("AB4A1_1", {"t": 1e155}, "cannot evaluate 'sqrt.*out of range"),
@@ -127,16 +128,16 @@ def test_only_construction_errors_become_failed_rows(monkeypatch, error, collect
             deform.scan_family("H3")
 
 
-@pytest.mark.parametrize("c1, error", [
-    (1e-20, "canonical form is singular: numerical rank 2 < dimension 3"),
-    (1e100, "flat members 1, 3 are proportional"),
+@pytest.mark.parametrize("ident, params, error", [
+    ("A3", {"c1": 1e100, "c2": 1, "c3": 1}, "flat members 1, 3 are proportional"),
+    ("F3", {"t": 1e-200}, "covector 10 has canonical norm 0"),
 ])
-def test_plane_check_errors_become_failed_rows(c1, error):
+def test_plane_check_errors_become_failed_rows(ident, params, error):
     """Admissible parameters that construct but fail the plane check (a
-    singular form, a degenerate plane) give a failed row, as in scan_family."""
-    params = {"c1": c1, "c2": 1, "c3": 1}
-    assert catalogue.verify_entry("A3", params).failures == [f"plane check failed: {error}"]
-    (row,) = deform.scan_family("A3", [params])
+    degenerate plane, a canonical norm that underflows) give a failed row,
+    as in scan_family."""
+    assert catalogue.verify_entry(ident, params).failures == [f"plane check failed: {error}"]
+    (row,) = deform.scan_family(ident, [params])
     assert row["error"].endswith(error)
 
 

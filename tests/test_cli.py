@@ -225,6 +225,18 @@ def test_deform_on_a_system_of_round_off_rows(tmp_path):
     assert {"rank: 0", "corank: 4", "spectralGap: inf"} <= set(lines), result.stdout
 
 
+def test_harmonic_on_canonical_norms_that_underflow(tmp_path):
+    """F3 at t = 1e-170 scaled by 1e100: four canonical norms underflow to 0,
+    and the process names the first covector and exits 2, with no warning."""
+    path = tmp_path / "f3-vanishing.json"
+    matrix = np.array(catalogue.entry("F3").matrix_at({"t": 1e-170})) * 1e100
+    io.save_document(CovectorConfiguration(matrix), path)
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", "harmonic", str(path)],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 2, result
+    assert result.stderr == "error: covector 10 has canonical norm 0\n"
+
+
 def test_deform_grid(runner):
     result = runner.invoke(main, ["deform", "--catalogue", "B3", "--grid"])
     assert result.exit_code == 0

@@ -14,7 +14,6 @@ from veesys import (
     projective,
     verify,
 )
-from veesys.errors import SingularForm
 from veesys.tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 
 
@@ -110,28 +109,23 @@ def test_take_and_transform():
 
 def test_singular_form_reports_rank():
     config = CovectorConfiguration(np.eye(3))
-    squashed = CovectorConfiguration.__new__(CovectorConfiguration)
-    object.__setattr__(squashed, "matrix", np.array(
-        [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    ))
-    object.__setattr__(squashed, "labels", ("1", "2", "3"))
-    with pytest.raises(SingularForm) as info:
-        canonical_form(squashed)
-    assert info.value.rank == 1
+    squashed = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="numerical rank 1 < dimension 3"):
+        CovectorConfiguration(squashed)
     assert canonical_form(config).condition_number == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("factor, rank", [(0.5, 2), (2.0, 3)])
 def test_singular_form_cut(factor, rank):
     """G = diag(1, 1, s^2) is singular when s^2 is at most SINGULAR_FORM_RTOL
-    times its largest eigenvalue 1; the construction still accepts it."""
-    config = CovectorConfiguration(np.diag([1.0, 1.0, math.sqrt(factor * SINGULAR_FORM_RTOL)]))
+    times its largest eigenvalue 1: construction rejects it, naming the rank."""
+    matrix = np.diag([1.0, 1.0, math.sqrt(factor * SINGULAR_FORM_RTOL)])
     if rank < 3:
-        with pytest.raises(SingularForm) as info:
-            canonical_form(config)
-        assert info.value.rank == rank
+        with pytest.raises(ValueError, match=f"do not span the ambient space: "
+                                             f"numerical rank {rank} < dimension 3"):
+            CovectorConfiguration(matrix)
     else:
-        form = canonical_form(config)
+        form = canonical_form(CovectorConfiguration(matrix))
         assert form.condition_number == pytest.approx(1 / (factor * SINGULAR_FORM_RTOL))
 
 

@@ -99,10 +99,11 @@ def _verdicts(config):
 def test_ill_conditioned_and_rescaled_images_keep_the_verdicts():
     """The plane conditions are invariant under A -> L A: each grid point's
     images under two seeded maps L per cond(L) in 1e2 ... 1e5, and under the
-    global scales 1e100 and 1e+-150, stay vee systems with the same flats,
-    nu-function (to 1e-7, as in C11) and free-nu corank, with no warning.
-    Past cond(L) 1e5 the coplanarity decisions of flat enumeration
-    contradict each other."""
+    global scales 1e100, 1e+-150, 1e155, 1e300, 1e-170 and 1e-300, where the
+    squared entries over- or underflow, stay vee systems with the same
+    flats, nu-function (to 1e-7, as in C11) and free-nu corank, with no
+    warning.  Past cond(L) 1e5 the coplanarity decisions of flat
+    enumeration contradict each other."""
     rng = np.random.default_rng(28)
     images = 0
     for ident in catalogue.ids():
@@ -112,7 +113,7 @@ def test_ill_conditioned_and_rescaled_images_keep_the_verdicts():
             named = [(f"cond {cond:.0e}", base.transformed(_conditioned_gl3(rng, cond)))
                      for cond in (1e2, 1e3, 1e4, 1e5) for _ in range(2)]
             named += [(f"scale {scale:.0e}", base.scaled(scale))
-                      for scale in (1e100, 1e150, 1e-150)]
+                      for scale in (1e100, 1e150, 1e-150, 1e155, 1e300, 1e-170, 1e-300)]
             for name, image in named:
                 where = (ident, params, name)
                 with warnings.catch_warnings():
@@ -123,7 +124,7 @@ def test_ill_conditioned_and_rescaled_images_keep_the_verdicts():
                 for labels, nu in nus.items():
                     assert got_nus[labels] == pytest.approx(nu, rel=1e-7), (where, labels)
                 images += 1
-    assert images == 37 * 11
+    assert images == 37 * 15
 
 
 def test_uniform_scaling_invariance_of_nu():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,6 +120,21 @@ def test_extension_h3_in_h4a1():
     report = check_extension(inner, outer, idx)
     assert report.is_extension
     assert report.nu_ratio == pytest.approx(3.0, rel=1e-9)
+
+
+def test_extension_is_scale_invariant():
+    """Inner and outer scaled by 1e155, past where their squared entries
+    overflow, give the unscaled verdict and nu-ratio, with no warning."""
+    outer = catalogue.construct("H4A1", {})
+    added = {"4", "5", "6", "7"} | {str(i) for i in range(20, 32)}
+    idx = [i for i, l in enumerate(outer.labels) if l not in added]
+    inner = outer.take(idx)
+    base = check_extension(inner, outer, idx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = check_extension(inner.scaled(1e155), outer.scaled(1e155), idx)
+    assert scaled.is_extension == base.is_extension
+    assert scaled.nu_ratio == pytest.approx(base.nu_ratio, rel=1e-12)
 
 
 def test_extension_rejects_bad_embedding():
@@ -290,9 +306,10 @@ def _chain(config, rtol=None):
 
 
 def test_chain_decomposes_and_forms_once(monkeypatch):
-    from veesys import core
-
-    counts = {"decompose": 0, "canonical_form": 0}
+    """One flat enumeration and one SVD of its matrix per configuration:
+    construction takes the SVD, and the chain reads what it kept."""
+    counts = {"decompose": 0}
+    factored = []  # the matrices an SVD is taken of, matrix_rank's included
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -300,15 +317,22 @@ def test_chain_decomposes_and_forms_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded(fn):
+        def wrapper(a, *args, **kwargs):
+            factored.append(a)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
     # the function that enumerates the flats, behind config.decomposition
     monkeypatch.setattr(matroid, "_enumerate_flats",
                         counted("decompose", matroid._enumerate_flats))
-    monkeypatch.setattr(core, "canonical_form",
-                        counted("canonical_form", core.canonical_form))
+    for name in ("svd", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
     config = catalogue.construct("H4A1", {})
     outcomes = _chain(config)
     assert not any(isinstance(o, str) for o in outcomes), outcomes
-    assert counts == {"decompose": 1, "canonical_form": 1}
+    assert counts == {"decompose": 1}
+    assert sum(a is config.matrix for a in factored) == 1
 
     # the chain of a configuration that fails check_vee: check_vee, then
     # decompose, then fingerprint
@@ -319,7 +343,8 @@ def test_chain_decomposes_and_forms_once(monkeypatch):
     decomp = decompose(perturbed)
     matroid.fingerprint(decomp)
     assert decomp is report.decomposition
-    assert counts == {"decompose": 1, "canonical_form": 1}
+    assert counts == {"decompose": 1}
+    assert sum(a is perturbed.matrix for a in factored) == 1
 
 
 def test_check_path_builds_no_flat_objects():
@@ -391,6 +416,21 @@ def test_underflowing_planes_read_as_degenerate():
     assert (analysis.ratios == 0).tolist() == through_3 == [False, True, True, False]
     with pytest.raises(DegeneratePlane, match="flat members 1, 3 are proportional"):
         check_vee(config)
+
+
+def test_underflowing_canonical_norms_read_as_degenerate():
+    """F3 at t = 1e-170, scaled by 1e100: covectors 10 to 13 sit 1e-170 below
+    the others, so their canonical norms P_kk underflow to exactly 0.  Their
+    pair flats would pass vacuously and their cross-ratios divide by 0; the
+    plane check names the first such covector instead, with no numpy
+    warning."""
+    config = CovectorConfiguration(np.array(catalogue.entry("F3").matrix_at({"t": 1e-170})) * 1e100)
+    assert np.flatnonzero(np.diag(config.analysis.pairings) == 0).tolist() == [9, 10, 11, 12]
+    for check in (check_vee, check_harmonic):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePlane, match="^covector 10 has canonical norm 0$"):
+                check(config)
 
 
 def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
