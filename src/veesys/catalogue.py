@@ -27,7 +27,7 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -50,8 +50,7 @@ def _labels(labels):
 
 
 class CatalogueEntry:
-    """One family, built from its JSON record by field name.  Flat records
-    keep their JSON member labels; readers convert them."""
+    """One family, built from its JSON record by field name."""
 
     def __init__(self, *, id, matrix, gram, flats, name=None, parameters=(),
                  admissible="True", default_grid=({},), constants=None, notes=()):
@@ -63,8 +62,15 @@ class CatalogueEntry:
         self.constants = {} if constants is None else constants  # name -> expression
         self.matrix = tuple(map(tuple, matrix))  # r rows of n expression strings
         self.gram = tuple(map(tuple, gram))  # r rows of r expression strings
-        self.flats = tuple(flats)  # records {"members": [labels], "nu": expr, when multi}
+        self._flats = flats  # the JSON flat records, converted on first read of ``flats``
         self.notes = tuple(notes)
+
+    @cached_property
+    def flats(self):
+        """The flat records {"members": label strings, "nu": expr, when
+        multi}, their labels converted once, so the nu dicts of
+        ``nu_by_members`` share them."""
+        return tuple({**f, "members": _labels(f["members"])} for f in self._flats)
 
     @property
     def n(self):
@@ -99,7 +105,7 @@ def _evaluated(rows, names):
 
 def _nus(flats, names):
     """The oracle nu of each multi flat, keyed by its labels in print order."""
-    return {_labels(f["members"]): evaluate(f["nu"], names)
+    return {f["members"]: evaluate(f["nu"], names)
             for f in flats if f.get("nu") is not None}
 
 

@@ -77,12 +77,15 @@ class CovectorConfiguration:
 
         # Unit covectors, each column scaled by a power of two before it is
         # squared: exact in the normal range, and no entry over- or underflows.
-        scaled = np.ldexp(matrix, -np.frexp(np.abs(matrix).max(0))[1])
+        exponents = np.frexp(np.abs(matrix).max(0))[1]
+        scaled = np.ldexp(matrix, -exponents)
         unit = self.unit = _as_readonly(scaled / np.sqrt((scaled * scaled).sum(0)))
 
         # The one reduced SVD, A = U S V^T, decides the span: G = A A^T has
-        # the eigenvalues S^2, and its rank is the count above the cut.
-        s, basis = np.linalg.svd(matrix, full_matrices=False)[1:]
+        # the eigenvalues S^2, and its rank is the count above the cut.  It is
+        # taken of A scaled by one power of two, its largest entry below 1, so
+        # S does not overflow at any scale; V^T and the ratios of S are those of A.
+        s, basis = np.linalg.svd(np.ldexp(matrix, -exponents.max()), full_matrices=False)[1:]
         eigvals = (s / s[0]) ** 2  # G's eigenvalues over the largest, descending
         if eigvals[-1] <= SINGULAR_FORM_RTOL:
             rank = np.count_nonzero(eigvals > SINGULAR_FORM_RTOL)

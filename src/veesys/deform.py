@@ -100,18 +100,6 @@ def build_system(config, mode=FREE_NU, rtol=None):
     return DeformationSystem(mode, matrix, rank, config.n - rank, svals, gap)
 
 
-def _is_connected_through_multi_flats(decomposition):
-    """Whether every covector is reached from the first through shared multi flats."""
-    reached, grown = {0}, True
-    while grown:
-        grown = False
-        for members in decomposition.multi:
-            if not reached.isdisjoint(members) and not reached.issuperset(members):
-                reached.update(members)
-                grown = True
-    return len(reached) == decomposition.n
-
-
 def rigidity_test(config, rtol=None):
     """Fixed-nu rigidity check for an irreducible configuration.
 
@@ -120,7 +108,7 @@ def rigidity_test(config, rtol=None):
     share no multi flat (direct sums deform componentwise).
     """
     tol = resolve(rtol)
-    if not _is_connected_through_multi_flats(plane_analysis(config, tol).decomposition):
+    if not plane_analysis(config, tol).decomposition.connected:
         raise Reducible("configuration is disconnected across multi flats")
     system = build_system(config, FIXED_NU, rtol=tol)
     ones = np.ones(config.n) / np.sqrt(config.n)

@@ -9,6 +9,7 @@ are called pair flats, the rest multi flats.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -65,10 +66,17 @@ class FlatDecomposition:
     Equality compares ``n`` and ``multi`` alone: in rank 3 the multi flats
     fix the pair flats, the pairs no multi flat covers.
 
-    ``flats`` is for display and builds one Flat per flat on first read;
-    the checks read the arrays.  Passing ``flats=`` Flat objects to the
-    constructor, as ``dataclasses.replace(d, flats=...)`` does, rebuilds
-    the other fields from them instead.
+    Flat enumeration shares one decomposition among the configurations
+    with one coplanarity pattern, so a decomposition is read-only and every
+    quantity that depends on the matroid alone is a cached property of it:
+    ``multi_leads``, ``weight_solve``, ``connected`` and ``fingerprint``,
+    each computed on first read, once per matroid.
+
+    ``flats`` is for display and builds one Flat per flat on each read,
+    which the decomposition does not keep; the checks read the arrays.
+    Passing ``flats=`` Flat objects to the constructor, as
+    ``dataclasses.replace(d, flats=...)`` does, rebuilds the other fields
+    from them instead.
     """
 
     n: int
@@ -114,6 +122,47 @@ class FlatDecomposition:
         leads.setflags(write=False)
         return leads
 
+    @cached_property
+    def weight_solve(self):
+        """The least-squares solve of the weight system M w = 1, M the n x m
+        multi incidence, with no threshold applied: the minimum-norm
+        solution w, the largest residual |M w - 1| and the singular values
+        of M.  Needs a multi flat."""
+        # Fortran order, as lstsq's rounding depends on the layout
+        M = np.asfortranarray(self.multi_incidence, dtype=float)
+        ones = np.ones(self.n)
+        # one SVD: lstsq's own singular values give the rank
+        x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
+        for shared in (x, svals):
+            shared.setflags(write=False)
+        return x, float(np.abs(M @ x - ones).max()), svals
+
+    @cached_property
+    def connected(self):
+        """Whether every covector is reached from the first through shared multi flats."""
+        reached, grown = {0}, True
+        while grown:
+            grown = False
+            for members in self.multi:
+                if not reached.isdisjoint(members) and not reached.issuperset(members):
+                    reached.update(members)
+                    grown = True
+        return len(reached) == self.n
+
+    @cached_property
+    def fingerprint(self):
+        """The MatroidFingerprint.  Covector k lies in n - 1 - sum(size - 1)
+        pair flats, the sum over the multi flats through k."""
+        n, multi = self.n, self.multi
+        sizes = (2,) * len(self.pair_members) + tuple(map(len, multi))  # multi in size order
+        through = [[] for _ in range(n)]
+        for members in multi:
+            for i in members:
+                through[i].append(len(members))
+        profile = tuple((2,) * (n - 1 - sum(t) + len(t)) + tuple(sorted(t))
+                        for t in through)
+        return MatroidFingerprint(sizes, profile, tuple(sorted(profile)))
+
 
 def _display_flats(decomposition):
     """Every flat as a Flat, in flat order (display only)."""
@@ -122,9 +171,9 @@ def _display_flats(decomposition):
 
 
 # Set after the class is made: the class body binds ``flats`` to the default
-# of the constructor argument of that name.
-FlatDecomposition.flats = cached_property(_display_flats)
-FlatDecomposition.flats.__set_name__(FlatDecomposition, "flats")
+# of the constructor argument of that name.  Built on each read, so a shared
+# decomposition holds no display objects.
+FlatDecomposition.flats = property(_display_flats)
 
 
 class MatroidFingerprint:
@@ -158,11 +207,20 @@ def decompose(config):
 
     Returns ``config.decomposition``, which the configuration enumerates
     once, on first use, and shares with its plane analysis; every call on
-    one configuration returns that same FlatDecomposition.  Raises
-    RankTooHigh or AmbiguousFlats on every call, as no decomposition is kept
-    when the enumeration raises.
+    one configuration returns that same FlatDecomposition, and so do the
+    other configurations with the same coplanarity pattern while flat
+    enumeration keeps it.  Raises RankTooHigh or AmbiguousFlats on every
+    call, as no decomposition is kept when the enumeration raises.
     """
     return config.decomposition
+
+
+# Flat enumeration keeps the decompositions of this many coplanarity
+# patterns, the oldest dropped first: a family scan meets one pattern per
+# family, and the matroid-only quantities of each are computed once.
+_SHARED_PATTERNS = 64
+_shared = {}  # (n, packed |det| < COPLANAR_TOL rows) -> FlatDecomposition
+_shared_lock = threading.Lock()  # held to evict and insert
 
 
 def _enumerate_flats(config):
@@ -177,8 +235,11 @@ def _enumerate_flats(config):
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
     pairs i < j times the unit covectors.  Its rows below ``COPLANAR_TOL``
-    are the flats, read by ``_read_rows``, which raises AmbiguousFlats when
-    they contradict each other.
+    are the coplanarity pattern.  A pattern seen before, among the last
+    ``_SHARED_PATTERNS``, returns the decomposition read from it then, the
+    same object; a new one is read by ``_read_rows``, which raises
+    AmbiguousFlats, naming this configuration's labels, when the rows
+    contradict each other, and is kept only when it reads.
     """
     r, n = config.matrix.shape
     if r > 3:
@@ -195,8 +256,17 @@ def _enumerate_flats(config):
     x, y = unit.T[:, [1, 2, 0]], unit.T[:, [2, 0, 1]]  # rolled coordinates
     dets = (x[first] * y[second] - y[first] * x[second]) @ unit
     np.abs(dets, out=dets)  # in place: the largest array of the call
-    pair_members, multi, incidence = _read_rows(dets < COPLANAR_TOL, ends, config.labels)
-    return FlatDecomposition(n, multi, pair_members, incidence)
+    hits = dets < COPLANAR_TOL
+    key = n, np.packbits(hits).tobytes()
+    decomposition = _shared.get(key)
+    if decomposition is None:
+        pair_members, multi, incidence = _read_rows(hits, ends, config.labels)
+        decomposition = FlatDecomposition(n, multi, pair_members, incidence)
+        with _shared_lock:  # another thread may have read the pattern meanwhile
+            while len(_shared) >= _SHARED_PATTERNS and key not in _shared:
+                del _shared[next(iter(_shared))]  # the oldest pattern
+            decomposition = _shared.setdefault(key, decomposition)
+    return decomposition
 
 
 @lru_cache(maxsize=64)
@@ -262,17 +332,9 @@ def _read_rows(hits, ends, labels):
 
 
 def fingerprint(decomposition):
-    """Relabelling-invariant summary of the flat structure.  Covector k lies
-    in n - 1 - sum(size - 1) pair flats, the sum over the multi flats through k."""
-    n, multi = decomposition.n, decomposition.multi
-    sizes = (2,) * len(decomposition.pair_members) + tuple(map(len, multi))  # multi in size order
-    through = [[] for _ in range(n)]
-    for members in multi:
-        for i in members:
-            through[i].append(len(members))
-    profile = tuple((2,) * (n - 1 - sum(t) + len(t)) + tuple(sorted(t))
-                    for t in through)
-    return MatroidFingerprint(sizes, profile, tuple(sorted(profile)))
+    """Relabelling-invariant summary of the flat structure, the
+    decomposition's cached ``fingerprint``."""
+    return decomposition.fingerprint
 
 
 class _BudgetExceeded(Exception):
@@ -353,7 +415,7 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     """
     if d1.n != d2.n:
         raise ValueError("decompositions must have equal ground-set size")
-    f1, f2 = fingerprint(d1), fingerprint(d2)
+    f1, f2 = d1.fingerprint, d2.fingerprint
     if f1 != f2:
         return NO
     try:

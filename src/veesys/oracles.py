@@ -85,7 +85,7 @@ def verify_entry(entry_id, params=None, rtol=None):
         frozenset(config.sublabels(members))
         for members in itertools.chain(decomp.pair_members.tolist(), decomp.multi)
     }
-    oracle_flats = {frozenset(catalogue._labels(f["members"])) for f in ent.flats}
+    oracle_flats = {frozenset(f["members"]) for f in ent.flats}
     if computed_flats != oracle_flats:
         missing = [sorted(s, key=int) for s in oracle_flats - computed_flats]
         extra = [sorted(s, key=int) for s in computed_flats - oracle_flats]

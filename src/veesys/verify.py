@@ -122,17 +122,17 @@ def solve_weights(config, rtol=None):
     A covector lying in no multi flat makes the system infeasible (its row
     reads 0 = 1).  When the solution space has positive dimension the
     minimum-norm solution is returned with status "underdetermined".
+
+    The system depends on the matroid alone: its least-squares solve is the
+    decomposition's ``weight_solve``, computed once per matroid, and this
+    applies WEIGHT_TOL to it and pairs the weights with the configuration's
+    own nu for the universal value.
     """
     analysis = plane_analysis(config, rtol)
     decomp = analysis.decomposition
     if not decomp.multi:
         return WeightSolution("infeasible", residual=1.0)
-    # Fortran order, as lstsq's rounding depends on the layout
-    M = np.asfortranarray(decomp.multi_incidence, dtype=float)
-    ones = np.ones(decomp.n)
-    # one SVD: lstsq's own singular values give the rank
-    x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
-    residual = float(np.abs(M @ x - ones).max())
+    x, residual, svals = decomp.weight_solve
     if residual >= WEIGHT_TOL:
         return WeightSolution("infeasible", residual=residual)
     rank = np.count_nonzero(svals > WEIGHT_TOL)

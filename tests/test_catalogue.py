@@ -43,6 +43,18 @@ def test_entry_verification_spot_checks():
         assert report.passed, (ident, report.failures)
 
 
+def test_flat_labels_are_converted_once():
+    """Flat records hold tuples of label strings, built on the first read of
+    ``flats``, and every nu dict is keyed on those same tuples."""
+    ent = catalogue.entry("H3")
+    assert ent.flats is ent.flats
+    members = [f["members"] for f in ent.flats]
+    assert all(type(m) is tuple and all(type(x) is str for x in m) for m in members)
+    multi = [f["members"] for f in ent.flats if f.get("nu") is not None]
+    for nus in (ent.nu_by_members({}), ent.nu_by_members({})):
+        assert len(nus) == len(multi) and all(a is b for a, b in zip(nus, multi))
+
+
 def test_inadmissible_parameters_raise():
     with pytest.raises(InadmissibleParameters):
         catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": -2})

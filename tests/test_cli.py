@@ -225,6 +225,23 @@ def test_deform_on_a_system_of_round_off_rows(tmp_path):
     assert {"rank: 0", "corank: 4", "spectralGap: inf"} <= set(lines), result.stdout
 
 
+def test_verify_at_the_top_of_the_double_range(tmp_path):
+    """The nine B3 roots times 1e308, whose singular values overflow: the
+    process passes them with a finite condition number and no warning."""
+    path = tmp_path / "b3-1e308.json"
+    roots = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0],
+             [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]]
+    path.write_text(json.dumps({"dimension": 3,
+                                "covectors": [[f"{x}e308" for x in r] for r in roots]}))
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", "verify", str(path)],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert "isVeeSystem: True" in lines
+    assert "conditionNumber: 1.000e+00" in lines, result.stdout
+
+
 def test_harmonic_on_canonical_norms_that_underflow(tmp_path):
     """F3 at t = 1e-170 scaled by 1e100: four canonical norms underflow to 0,
     and the process names the first covector and exits 2, with no warning."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,27 @@ def test_singular_form_cut(factor, rank):
     else:
         form = canonical_form(CovectorConfiguration(matrix))
         assert form.condition_number == pytest.approx(1 / (factor * SINGULAR_FORM_RTOL))
+
+
+B3_ROOTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0],
+                     [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]], dtype=float).T
+
+
+def test_span_decision_at_the_top_of_the_double_range():
+    """The nine B3 roots times 1e308: the singular values of A overflow, so
+    construction takes the SVD of A scaled by a power of two.  cond(G) is
+    finite and that of the unscaled roots, with no numpy warning; at a
+    power-of-two scale V^T and cond(G) are bitwise those of the roots."""
+    roots = CovectorConfiguration(B3_ROOTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = CovectorConfiguration(B3_ROOTS * 1e308)
+        exact = CovectorConfiguration(B3_ROOTS * 2.0 ** 1023)
+        assert all(verify.check_vee(c).is_vee_system for c in (huge, exact))
+    assert math.isfinite(huge.form.condition_number)
+    assert huge.form.condition_number == pytest.approx(roots.form.condition_number, rel=1e-12)
+    assert exact.form.condition_number == roots.form.condition_number
+    assert np.array_equal(exact.form.basis, roots.form.basis)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

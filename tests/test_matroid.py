@@ -1,14 +1,18 @@
 import dataclasses
 import itertools
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from veesys import CovectorConfiguration, catalogue, decompose, fingerprint, same_matroid
+from veesys import (CovectorConfiguration, catalogue, decompose, fingerprint, same_matroid,
+                    solve_weights)
 from veesys import matroid
 from veesys.errors import AmbiguousFlats, RankTooHigh
-from veesys.tolerances import COPLANAR_TOL
+from veesys.tolerances import COPLANAR_TOL, WEIGHT_TOL
 
 
 def _grid_points():
@@ -68,10 +72,11 @@ def _incidence_of(flats, n):
 
 def _assert_matches_reference(name, config):
     decomp = decompose(config)
-    assert "flats" not in vars(decomp), name  # built on first read only
+    assert "flats" not in vars(decomp), name  # built on each read only
     flats = tuple(f.members for f in decomp.flats)
     assert flats == _reference_flats(config), name
-    assert decomp.flats is decomp.flats, name
+    assert decomp.flats == decomp.flats and decomp.flats is not decomp.flats, name
+    assert "flats" not in vars(decomp), name  # a shared decomposition keeps none
     assert decomp.multi == tuple(m for m in flats if len(m) > 2), name
     pairs = tuple(map(tuple, decomp.pair_members.tolist()))
     assert flats[:len(pairs)] == pairs, name
@@ -376,3 +381,135 @@ def test_rows_that_split_a_flat_raise():
     pairs, multi, incidence = matroid._read_rows(hits, ends, tuple("abcd"))
     assert (pairs.tolist(), multi) == ([[0, 3], [1, 3], [2, 3]], ((0, 1, 2),))
     assert incidence.tolist() == _incidence_of([(0, 3), (1, 3), (2, 3), (0, 1, 2)], 4).tolist()
+
+
+def _gl3(rng):
+    while True:
+        C = rng.standard_normal((3, 3))
+        if np.linalg.cond(C) < 100:
+            return C
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """An empty table of shared decompositions for the test, and the
+    coplanarity patterns ``_read_rows`` reads."""
+    monkeypatch.setattr(matroid, "_shared", {})
+    patterns = []
+    read = matroid._read_rows
+
+    def recorded(hits, ends, labels):
+        patterns.append(hits)
+        return read(hits, ends, labels)
+
+    monkeypatch.setattr(matroid, "_read_rows", recorded)
+    return patterns
+
+
+def test_one_decomposition_per_coplanarity_pattern(shared):
+    """Two GL(3) images of H4A1, and two jittered F3 points, share one
+    decomposition, read once; it equals, bit for bit, the flats read by
+    ``_read_rows`` and the weights solved by ``lstsq`` from scratch on the
+    second configuration, and so do its connectivity and fingerprint."""
+    rng = np.random.default_rng(30)
+    h4a1 = catalogue.construct("H4A1", {})
+    pairs = [(h4a1.transformed(_gl3(rng)), h4a1.transformed(_gl3(rng))),
+             (catalogue.construct("F3", {"t": 0.9}), catalogue.construct("F3", {"t": 1.2}))]
+    for first, second in pairs:
+        shared.clear()
+        decomp = decompose(first)
+        assert decompose(second) is decomp and len(shared) == 1
+        assert "flats" not in vars(decomp)
+
+        # from scratch: the second configuration's own pattern, read directly
+        matroid._shared.clear()
+        assert matroid._enumerate_flats(second) is not decomp
+        hits = shared[-1]
+        pair_members, multi, incidence = matroid._read_rows(
+            hits, matroid._pair_ends(second.n), second.labels)
+        assert decomp.multi == multi
+        for mine, theirs in ((decomp.pair_members, pair_members), (decomp.incidence, incidence)):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert [f.members for f in decomp.flats] == [*map(tuple, pair_members.tolist()), *multi]
+        M = np.asfortranarray(incidence[:, len(pair_members):], dtype=float)
+        x, _, _, svals = np.linalg.lstsq(M, np.ones(second.n), rcond=None)
+        residual = float(np.abs(M @ x - 1).max())
+        solution = solve_weights(second)
+        assert list(solution.weights.values()) == x.tolist()
+        assert solution.residual == residual < WEIGHT_TOL
+        assert solution.universal_value == float(x @ second.analysis.multi_nus)
+        rank = np.count_nonzero(svals > WEIGHT_TOL)
+        assert solution.status == ("underdetermined" if rank < len(multi) else "feasible")
+        fresh = matroid.FlatDecomposition(second.n, multi, pair_members, incidence)
+        assert decomp.connected is fresh.connected is True
+        mine, theirs = fingerprint(decomp), fresh.fingerprint
+        assert mine is decomp.fingerprint
+        assert mine.flat_size_multiset == theirs.flat_size_multiset
+        assert mine.point_profile == theirs.point_profile
+        assert mine.digest == theirs.digest
+
+
+def test_contradictory_patterns_are_not_shared(shared):
+    """Two configurations with one contradictory pattern and different labels
+    each raise AmbiguousFlats naming their own labels, on every call, and the
+    table keeps nothing of them."""
+    first = _five_covectors(1.2e-9)
+    second = CovectorConfiguration(first.matrix, tuple("vwxyz"))
+    messages = []
+    for config in (first, second, first, second):
+        with pytest.raises(AmbiguousFlats) as info:
+            decompose(config)
+        messages.append(str(info.value))
+    assert len(shared) == 4 and not matroid._shared
+    assert messages[0] == messages[2] and messages[1] == messages[3]
+    relabelled = re.sub(r"\b[a-e]\b", lambda m: "vwxyz"["abcde".index(m[0])], messages[0])
+    assert messages[1] == relabelled != messages[0]
+
+
+def test_shared_table_keeps_its_bound(shared):
+    """The table never holds more than _SHARED_PATTERNS decompositions and
+    drops the oldest pattern first."""
+    bound = matroid._SHARED_PATTERNS
+    rng = np.random.default_rng(64)
+    first = decompose(CovectorConfiguration(rng.standard_normal((3, 3))))
+    for n in range(4, bound + 8):  # generic: one pattern per n
+        decompose(CovectorConfiguration(rng.standard_normal((3, n))))
+        assert len(matroid._shared) <= bound
+    assert len(matroid._shared) == bound
+    assert decompose(CovectorConfiguration(rng.standard_normal((3, bound + 7)))).n == bound + 7
+    assert len(shared) == bound + 5  # the last configuration was read from the table
+    again = decompose(CovectorConfiguration(rng.standard_normal((3, 3))))
+    assert again == first and again is not first
+
+
+def test_shared_table_under_threads(shared, monkeypatch):
+    """Threads decomposing configurations of more patterns than the table
+    holds, switching often: no error, the bound holds, and each
+    configuration gets a decomposition of its own size."""
+    monkeypatch.setattr(matroid, "_SHARED_PATTERNS", 3)
+    rng = np.random.default_rng(5)
+    matrices = [rng.standard_normal((3, n)) for n in range(3, 9)] * 20
+    failures, sizes = [], []
+
+    def work(offset):
+        try:
+            for matrix in matrices[offset:] + matrices[:offset]:
+                config = CovectorConfiguration(matrix)  # its own, so the table is read
+                assert decompose(config).n == config.n
+                sizes.append(len(matroid._shared))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures and len(sizes) == 6 * len(matrices)
+    assert max(sizes) <= 3
