@@ -27,7 +27,7 @@ import json
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -62,15 +62,10 @@ class CatalogueEntry:
         self.constants = {} if constants is None else constants  # name -> expression
         self.matrix = tuple(map(tuple, matrix))  # r rows of n expression strings
         self.gram = tuple(map(tuple, gram))  # r rows of r expression strings
-        self._flats = flats  # the JSON flat records, converted on first read of ``flats``
+        # records {"members": label strings, "nu": expr, when multi}, their
+        # labels converted once, so the nu dicts of ``nu_by_members`` share them
+        self.flats = tuple({**f, "members": _labels(f["members"])} for f in flats)
         self.notes = tuple(notes)
-
-    @cached_property
-    def flats(self):
-        """The flat records {"members": label strings, "nu": expr, when
-        multi}, their labels converted once, so the nu dicts of
-        ``nu_by_members`` share them."""
-        return tuple({**f, "members": _labels(f["members"])} for f in self._flats)
 
     @property
     def n(self):

@@ -215,12 +215,21 @@ def decompose(config):
     return config.decomposition
 
 
-# Flat enumeration keeps the decompositions of this many coplanarity
-# patterns, the oldest dropped first: a family scan meets one pattern per
-# family, and the matroid-only quantities of each are computed once.
-_SHARED_PATTERNS = 64
-_shared = {}  # (n, packed |det| < COPLANAR_TOL rows) -> FlatDecomposition
-_shared_lock = threading.Lock()  # held to evict and insert
+# Flat enumeration keeps the decompositions of recent coplanarity patterns
+# while their keys and arrays take at most this many bytes, the least
+# recently read pattern dropped first.  A pattern is kept only if it takes
+# at most an eighth of that, so no one large pattern empties the table.  A
+# family scan meets one small pattern per family (about 1 KB at n = 16,
+# 7 KB for H4A1), whose matroid-only quantities are then computed once; n
+# covectors in general position take 7 KB at n = 20 and 24 KB at n = 31.
+_SHARED_BYTES = 1 << 16
+_shared = {}  # (n, packed |det| < COPLANAR_TOL rows) -> FlatDecomposition, least recent first
+_shared_lock = threading.Lock()  # held to read, evict and insert
+
+
+def _held(key, decomposition):
+    """The bytes the table counts for one pattern: its key and the arrays."""
+    return len(key[1]) + decomposition.pair_members.nbytes + decomposition.incidence.nbytes
 
 
 def _enumerate_flats(config):
@@ -235,11 +244,11 @@ def _enumerate_flats(config):
 
     Cost: one C(n,2) x n matrix of determinants, the cross products of all
     pairs i < j times the unit covectors.  Its rows below ``COPLANAR_TOL``
-    are the coplanarity pattern.  A pattern seen before, among the last
-    ``_SHARED_PATTERNS``, returns the decomposition read from it then, the
+    are the coplanarity pattern.  A pattern the table keeps (see
+    ``_SHARED_BYTES``) returns the decomposition read from it then, the
     same object; a new one is read by ``_read_rows``, which raises
     AmbiguousFlats, naming this configuration's labels, when the rows
-    contradict each other, and is kept only when it reads.
+    contradict each other, and is kept only when it reads and is small.
     """
     r, n = config.matrix.shape
     if r > 3:
@@ -258,14 +267,22 @@ def _enumerate_flats(config):
     np.abs(dets, out=dets)  # in place: the largest array of the call
     hits = dets < COPLANAR_TOL
     key = n, np.packbits(hits).tobytes()
-    decomposition = _shared.get(key)
-    if decomposition is None:
-        pair_members, multi, incidence = _read_rows(hits, ends, config.labels)
-        decomposition = FlatDecomposition(n, multi, pair_members, incidence)
-        with _shared_lock:  # another thread may have read the pattern meanwhile
-            while len(_shared) >= _SHARED_PATTERNS and key not in _shared:
-                del _shared[next(iter(_shared))]  # the oldest pattern
-            decomposition = _shared.setdefault(key, decomposition)
+    with _shared_lock:
+        decomposition = _shared.pop(key, None)
+        if decomposition is not None:
+            _shared[key] = decomposition  # now the most recent
+            return decomposition
+    pair_members, multi, incidence = _read_rows(hits, ends, config.labels)
+    decomposition = FlatDecomposition(n, multi, pair_members, incidence)
+    size = _held(key, decomposition)
+    with _shared_lock:  # another thread may have read the pattern meanwhile
+        decomposition = _shared.pop(key, decomposition)
+        if size <= _SHARED_BYTES // 8:
+            held = sum(itertools.starmap(_held, _shared.items()))
+            while held + size > _SHARED_BYTES:
+                oldest = next(iter(_shared))
+                held -= _held(oldest, _shared.pop(oldest))
+            _shared[key] = decomposition
     return decomposition
 
 
@@ -415,7 +432,7 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     """
     if d1.n != d2.n:
         raise ValueError("decompositions must have equal ground-set size")
-    f1, f2 = d1.fingerprint, d2.fingerprint
+    f1, f2 = fingerprint(d1), fingerprint(d2)
     if f1 != f2:
         return NO
     try:

@@ -44,8 +44,8 @@ def test_entry_verification_spot_checks():
 
 
 def test_flat_labels_are_converted_once():
-    """Flat records hold tuples of label strings, built on the first read of
-    ``flats``, and every nu dict is keyed on those same tuples."""
+    """Flat records hold tuples of label strings, built when the entry is
+    made, and every nu dict is keyed on those same tuples."""
     ent = catalogue.entry("H3")
     assert ent.flats is ent.flats
     members = [f["members"] for f in ent.flats]

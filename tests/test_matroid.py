@@ -466,29 +466,67 @@ def test_contradictory_patterns_are_not_shared(shared):
     assert messages[1] == relabelled != messages[0]
 
 
+def _table_bytes():
+    with matroid._shared_lock:
+        return sum(itertools.starmap(matroid._held, matroid._shared.items()))
+
+
+def _generic(rng, n):
+    """A configuration of n covectors in general position, whose pattern,
+    no three coplanar, is the same for every such configuration of n."""
+    return CovectorConfiguration(rng.standard_normal((3, n)))
+
+
+def _one_line(rng, n, k):
+    """n covectors in general position but for covector k, put on the
+    plane of the first two: one pattern for each k, its flat (0, 1, k)."""
+    A = rng.standard_normal((3, n))
+    A[:, k] = A[:, :2] @ rng.standard_normal(2)
+    return CovectorConfiguration(A)
+
+
+def _key_bytes(n):
+    return -(-n * (n - 1) // 2 * n // 8)  # C(n, 2) x n pattern bits, packed
+
+
 def test_shared_table_keeps_its_bound(shared):
-    """The table never holds more than _SHARED_PATTERNS decompositions and
-    drops the oldest pattern first."""
-    bound = matroid._SHARED_PATTERNS
+    """The keys and arrays the table keeps never take more than
+    _SHARED_BYTES, the least recently read pattern dropped first; a
+    pattern taking more than an eighth of that is read but not kept."""
+    bound = matroid._SHARED_BYTES
     rng = np.random.default_rng(64)
-    first = decompose(CovectorConfiguration(rng.standard_normal((3, 3))))
-    for n in range(4, bound + 8):  # generic: one pattern per n
-        decompose(CovectorConfiguration(rng.standard_normal((3, n))))
-        assert len(matroid._shared) <= bound
-    assert len(matroid._shared) == bound
-    assert decompose(CovectorConfiguration(rng.standard_normal((3, bound + 7)))).n == bound + 7
-    assert len(shared) == bound + 5  # the last configuration was read from the table
-    again = decompose(CovectorConfiguration(rng.standard_normal((3, 3))))
-    assert again == first and again is not first
+    recent = decompose(_generic(rng, 3))
+    oldest = decompose(_one_line(rng, 20, 2))
+    assert matroid._held((20, bytes(_key_bytes(20))), oldest) <= bound // 8
+    for k in range(3, 20):
+        decompose(_one_line(rng, 20, k))
+        assert decompose(_generic(rng, 3)) is recent  # read again: the most recent
+        assert _table_bytes() <= bound
+    assert len(shared) == 19  # each pattern read once
+    lines = sorted(d.multi[0][2] for d in matroid._shared.values() if d.multi)
+    assert 1 < len(lines) < 17 and lines == list(range(20 - len(lines), 20))
+
+    before = list(matroid._shared.items())
+    large = decompose(_generic(rng, 21))
+    assert matroid._held((21, bytes(_key_bytes(21))), large) > bound // 8
+    assert [(key, id(d)) for key, d in matroid._shared.items()] == [
+        (key, id(d)) for key, d in before]  # not kept, and nothing dropped for it
+    assert decompose(_generic(rng, 21)) is not large and len(shared) == 21
+    again = decompose(_one_line(rng, 20, 2))
+    assert again == oldest and again is not oldest and len(shared) == 22
 
 
 def test_shared_table_under_threads(shared, monkeypatch):
     """Threads decomposing configurations of more patterns than the table
     holds, switching often: no error, the bound holds, and each
     configuration gets a decomposition of its own size."""
-    monkeypatch.setattr(matroid, "_SHARED_PATTERNS", 3)
     rng = np.random.default_rng(5)
-    matrices = [rng.standard_normal((3, n)) for n in range(3, 9)] * 20
+    lines = [_one_line(rng, 12, k) for k in range(2, 12)]
+    size = matroid._held((12, bytes(_key_bytes(12))), decompose(lines[0]))
+    bound = 8 * size  # eight of the ten patterns of ``lines`` fit, and n = 12
+    monkeypatch.setattr(matroid, "_SHARED_BYTES", bound)  # in general position is not kept
+    matrices = [c.matrix for c in lines] + [rng.standard_normal((3, n)) for n in (3, 4, 12)]
+    matrices *= 12
     failures, sizes = [], []
 
     def work(offset):
@@ -496,7 +534,7 @@ def test_shared_table_under_threads(shared, monkeypatch):
             for matrix in matrices[offset:] + matrices[:offset]:
                 config = CovectorConfiguration(matrix)  # its own, so the table is read
                 assert decompose(config).n == config.n
-                sizes.append(len(matroid._shared))
+                sizes.append(_table_bytes())
         except Exception as exc:  # reported by the assertion below
             failures.append(exc)
 
@@ -512,4 +550,4 @@ def test_shared_table_under_threads(shared, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures and len(sizes) == 6 * len(matrices)
-    assert max(sizes) <= 3
+    assert max(sizes) <= bound and 0 < len(matroid._shared) < len(lines)
