@@ -19,7 +19,8 @@ usage, parse or admissibility error: argparse's ``usage:`` and ``error:``
 lines on stderr, any VeesysError, which ``main`` writes as ``error: ...``
 on stderr, or an ``--out`` file that cannot be written (``error: cannot
 write ...``).  ``--rtol`` goes before the command and is passed to every
-check the command calls.
+check the command calls; ``weights`` takes no ``rtol``, as the weight
+system depends on the matroid alone.
 
 Each command imports the library modules it runs in its own body, so a call
 loads those alone, and numpy only when one of them needs it.
@@ -260,7 +261,7 @@ def cmd_verify(rtol, input, catalogue_id, params_text):
     return vee.is_vee_system, source, [
         ("covectors", config.n), ("dimension", config.dimension),
         ("isVeeSystem", vee.is_vee_system), ("maxResidual", vee.max_residual),
-        ("conditionNumber", vee.form.condition_number), ("flats", flats),
+        ("conditionNumber", config.form.condition_number), ("flats", flats),
     ]
 
 
@@ -295,7 +296,7 @@ def cmd_weights(rtol, input, catalogue_id, params_text):
     from . import verify
 
     config, source = _open(input, catalogue_id, params_text)
-    solution = verify.solve_weights(config, rtol=rtol)
+    solution = verify.solve_weights(config)
     body = [("status", solution.status)]
     if solution.weights is not None:
         body += [("universalValue", solution.universal_value),

@@ -91,7 +91,7 @@ class CovectorConfiguration:
             rank = np.count_nonzero(eigvals > SINGULAR_FORM_RTOL)
             raise ValueError(f"covectors do not span the ambient space: "
                              f"numerical rank {rank} < dimension {r}")
-        self.form = CanonicalForm(matrix, basis, float(1 / eigvals[-1]))
+        self.form = CanonicalForm(basis, float(1 / eigvals[-1]))
 
         # Reject proportional pairs via normalized 2x2 minors.  For unit
         # covectors the largest minor of the pair (u, v) shrinks with the
@@ -142,41 +142,76 @@ class CovectorConfiguration:
     @cached_property
     def analysis(self):
         """The PlaneAnalysis, computed on first use and kept with the object."""
-        return analyse(self)
+        return PlaneAnalysis(self)
 
 
 class CanonicalForm:
-    """The form G = sum alpha alpha^T, an orthonormal basis of the row space
-    of A, and the condition number of G."""
+    """What construction decides of the form G = A A^T = sum alpha alpha^T:
+    an orthonormal basis of the row space of A, and the condition number of
+    G.  G itself is formed only by the Gram oracle."""
 
-    def __init__(self, matrix, basis, condition_number):
-        self._matrix = matrix
+    def __init__(self, basis, condition_number):
         self.basis = _as_readonly(basis)  # r x n V^T: column k is covector k whitened by G
         self.condition_number = condition_number
 
-    @cached_property
-    def gram(self):
-        """G = A A^T, formed on first read: only the Gram oracle reads it."""
-        return _as_readonly(self._matrix @ self._matrix.T)
-
 
 class PlaneAnalysis:
-    """The tolerance-free plane data every check reads.  ``residuals`` and
-    ``nus`` hold one entry per flat of ``decomposition``, in its order (pair
-    flats, then multi flats); ``ratios`` holds one per multi flat, in
+    """The tolerance-free plane data of a configuration, which every check
+    reads (``config.analysis`` keeps it).  ``residuals`` and ``nus`` hold one
+    entry per flat of ``decomposition``, in its order (pair flats, then
+    multi flats); ``ratios`` holds one per multi flat, in
     ``decomposition.multi`` order.  ``decomposition`` is the configuration's
     own, so its covector x flat ``incidence`` serves the checks too.
     Thresholds are applied by the callers, so one analysis serves every
-    tolerance."""
+    tolerance.
 
-    def __init__(self, form, pairings, decomposition, residuals, nus, ratios, max_residual):
-        self.form = form  # the CanonicalForm
-        self.pairings = pairings  # P = A^T G^{-1} A = basis^T basis
-        self.decomposition = decomposition  # the configuration's matroid.FlatDecomposition
-        self.residuals = residuals  # pair: |P_ij| / (sqrt(P_ii) sqrt(P_jj)); multi: see analyse
+    Every plane quantity is an entry of P = basis^T basis, since
+    gamma(G^{-1} alpha) = P[gamma, alpha].  For a flat with first members
+    i, j the restriction of G to the dual plane is (P_ii, P_ij, P_jj) and
+    that of the plane form is the sum over members k of (P_ki P_ki, P_ki P_kj,
+    P_kj P_kj).  A pair flat's residual is |P_ij| / (sqrt(P_ii) sqrt(P_jj)).
+    A multi flat's residual is the relative deviation of the plane form from
+    nu * G restricted, with nu the least-squares factor, and its ratio
+    measures how far its first two duals are from proportional in the
+    G-metric, read off their whitened duals, the basis columns.  Every flat
+    is read from P as arrays; the m multi flats pay n x m work.
+    """
+
+    def __init__(self, config):
+        basis = config.form.basis
+        P = basis.T @ basis  # exactly symmetric: numpy takes it as a syrk product
+        decomp = config.decomposition
+        pair_i, pair_j = decomp.pair_members.T
+        i, j = decomp.multi_leads.T
+        Pi, Pj, diag = P[:, i], P[:, j], np.diag(P)
+
+        # entries (11, 12, 22) of the symmetric 2x2 restrictions to the multi
+        # flats; the off-diagonal entry counts twice in Frobenius products
+        g = np.array([diag[i], P[i, j], diag[j]])
+        weight = np.array([[1.0], [2.0], [1.0]])
+        gp = np.array([(decomp.multi_incidence * a * b).sum(0)
+                       for a, b in ((Pi, Pi), (Pi, Pj), (Pj, Pj))])
+        nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
+        g11, g22 = diag[pair_i], diag[pair_j]
+        residuals = np.concatenate([
+            _quotient(np.abs(P[pair_i, pair_j]), np.sqrt(g11) * np.sqrt(g22)),
+            np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
+                              (weight * gp * gp).sum(0))),
+        ])
+        nus = 0.5 * np.concatenate([g11 + g22, diag @ decomp.multi_incidence])
+
+        u, v = basis[:, i], basis[:, j]
+        wedge = u[:, None] * v[None] - v[:, None] * u[None]
+        ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
+                           np.sqrt((u * u).sum(0)) * np.sqrt((v * v).sum(0)))
+        for shared in (P, residuals, nus, ratios):
+            shared.setflags(write=False)
+        self.pairings = P  # P = A^T G^{-1} A = basis^T basis
+        self.decomposition = decomp  # the configuration's matroid.FlatDecomposition
+        self.residuals = residuals  # pair: |P_ij| / (sqrt(P_ii) sqrt(P_jj)); multi: see above
         self.nus = nus  # 1/2 sum of P_kk over the members
         self.ratios = ratios  # multi flats: |u ^ v| / (|u| |v|) of the first two whitened duals
-        self.max_residual = max_residual
+        self.max_residual = float(residuals.max(initial=0.0))
 
     @property
     def multi_nus(self):
@@ -203,49 +238,3 @@ def canonical_form(config):
     takes it from one reduced SVD of the r x n matrix, A = U S V^T, whose
     squared singular values are G's eigenvalues."""
     return config.form
-
-
-def analyse(config):
-    """The PlaneAnalysis of a configuration (``config.analysis`` caches it).
-
-    Every plane quantity is an entry of P = basis^T basis, since
-    gamma(G^{-1} alpha) = P[gamma, alpha].  For a flat with first members
-    i, j the restriction of G to the dual plane is (P_ii, P_ij, P_jj) and
-    that of the plane form is the sum over members k of (P_ki P_ki, P_ki P_kj,
-    P_kj P_kj).  A pair flat's residual is |P_ij| / (sqrt(P_ii) sqrt(P_jj)).
-    A multi flat's residual is the relative deviation of the plane form from
-    nu * G restricted, with nu the least-squares factor, and its ratio
-    measures how far its first two duals are from proportional in the
-    G-metric, read off their whitened duals, the basis columns.  Every flat
-    is read from P as arrays; the m multi flats pay n x m work.
-    """
-    form = config.form
-    P = form.basis.T @ form.basis  # exactly symmetric: numpy takes it as a syrk product
-    decomp = config.decomposition
-    pair_i, pair_j = decomp.pair_members.T
-    i, j = decomp.multi_leads.T
-    Pi, Pj, diag = P[:, i], P[:, j], np.diag(P)
-
-    # entries (11, 12, 22) of the symmetric 2x2 restrictions to the multi
-    # flats; the off-diagonal entry counts twice in Frobenius products
-    g = np.array([diag[i], P[i, j], diag[j]])
-    weight = np.array([[1.0], [2.0], [1.0]])
-    gp = np.array([(decomp.multi_incidence * a * b).sum(0)
-                   for a, b in ((Pi, Pi), (Pi, Pj), (Pj, Pj))])
-    nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
-    g11, g22 = diag[pair_i], diag[pair_j]
-    residuals = np.concatenate([
-        _quotient(np.abs(P[pair_i, pair_j]), np.sqrt(g11) * np.sqrt(g22)),
-        np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
-                          (weight * gp * gp).sum(0))),
-    ])
-    nus = 0.5 * np.concatenate([g11 + g22, diag @ decomp.multi_incidence])
-
-    u, v = form.basis[:, i], form.basis[:, j]
-    wedge = u[:, None] * v[None] - v[:, None] * u[None]
-    ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
-                       np.sqrt((u * u).sum(0)) * np.sqrt((v * v).sum(0)))
-    for shared in (P, residuals, nus, ratios):
-        shared.setflags(write=False)
-    return PlaneAnalysis(form, P, decomp, residuals, nus, ratios,
-                         float(residuals.max(initial=0.0)))

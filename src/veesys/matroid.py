@@ -17,7 +17,7 @@ import numpy as np
 
 from . import digests
 from .errors import AmbiguousFlats, RankTooHigh
-from .tolerances import COPLANAR_TOL
+from .tolerances import COPLANAR_TOL, WEIGHT_TOL
 
 YES = "Yes"
 NO = "No"
@@ -26,7 +26,7 @@ UNKNOWN = "Unknown"
 # Backtracking search for a flat-preserving relabelling gives up after this
 # many visited nodes and reports Unknown.  Keeps worst cases (n = 31) bounded
 # while letting structured mid-size instances (n ~ 15) finish exactly.
-DEFAULT_NODE_BUDGET = 500_000
+NODE_BUDGET = 500_000
 
 
 class Flat:
@@ -58,8 +58,7 @@ class FlatDecomposition:
     """The rank-2 flats of n covectors, held as arrays.
 
     Flats are numbered pair flats first, in np.triu_indices order of their
-    members, then the multi flats in (size, members) order; ``pair_flats``
-    and ``multi_flats`` are the two ranges of that numbering, and column k
+    members, then the multi flats in (size, members) order, and column k
     of ``incidence`` marks the members of flat k.  ``multi_incidence`` (the
     multi-flat columns) and ``multi_leads`` (the two smallest members of
     each multi flat) are the views of that layout the checks read.
@@ -69,7 +68,7 @@ class FlatDecomposition:
     Flat enumeration shares one decomposition among the configurations
     with one coplanarity pattern, so a decomposition is read-only and every
     quantity that depends on the matroid alone is a cached property of it:
-    ``multi_leads``, ``weight_solve``, ``connected`` and ``fingerprint``,
+    ``multi_leads``, ``weight_system``, ``connected`` and ``fingerprint``,
     each computed on first read, once per matroid.
 
     ``flats`` is for display and builds one Flat per flat on each read,
@@ -102,15 +101,6 @@ class FlatDecomposition:
             object.__setattr__(self, name, value)
 
     @property
-    def pair_flats(self):
-        return range(len(self.pair_members))
-
-    @property
-    def multi_flats(self):
-        p = len(self.pair_members)
-        return range(p, p + len(self.multi))
-
-    @property
     def multi_incidence(self):
         """The read-only n x m incidence of covectors and multi flats, a view."""
         return self.incidence[:, len(self.pair_members):]
@@ -123,19 +113,29 @@ class FlatDecomposition:
         return leads
 
     @cached_property
-    def weight_solve(self):
-        """The least-squares solve of the weight system M w = 1, M the n x m
-        multi incidence, with no threshold applied: the minimum-norm
-        solution w, the largest residual |M w - 1| and the singular values
-        of M.  Needs a multi flat."""
+    def weight_system(self):
+        """The weight system M w = 1, M the n x m multi incidence, decided:
+        its status, its minimum-norm least-squares solution w, read-only,
+        or None when infeasible, and the largest residual |M w - 1|.
+
+        It is infeasible when the residual reaches WEIGHT_TOL, as when a
+        covector lies in no multi flat (its row reads 0 = 1, so without a
+        multi flat the residual is 1), and underdetermined when M has fewer
+        singular values above WEIGHT_TOL than columns, else feasible.
+        """
+        if not self.multi:
+            return "infeasible", None, 1.0
         # Fortran order, as lstsq's rounding depends on the layout
         M = np.asfortranarray(self.multi_incidence, dtype=float)
         ones = np.ones(self.n)
         # one SVD: lstsq's own singular values give the rank
         x, _, _, svals = np.linalg.lstsq(M, ones, rcond=None)
-        for shared in (x, svals):
-            shared.setflags(write=False)
-        return x, float(np.abs(M @ x - ones).max()), svals
+        residual = float(np.abs(M @ x - ones).max())
+        if residual >= WEIGHT_TOL:
+            return "infeasible", None, residual
+        x.setflags(write=False)
+        rank = np.count_nonzero(svals > WEIGHT_TOL)
+        return "underdetermined" if rank < len(self.multi) else "feasible", x, residual
 
     @cached_property
     def connected(self):
@@ -370,11 +370,11 @@ def _pair_sizes(decomposition):
     return sizes
 
 
-def _search_bijection(d1, d2, f1, f2, node_budget):
+def _search_bijection(d1, d2, f1, f2):
     """Backtracking search for a covector bijection mapping flats to flats.
 
     Returns the mapping (list, d1 index -> d2 index) or None; raises
-    _BudgetExceeded when the node budget runs out.  Assumes the
+    _BudgetExceeded after NODE_BUDGET visited nodes.  Assumes the
     fingerprints ``f1`` and ``f2`` already agree.  Every placed covector
     keeps the size of the flat through each pair it forms, so at a full
     mapping the pair flats map onto pair flats and only the multi flats
@@ -402,7 +402,7 @@ def _search_bijection(d1, d2, f1, f2, node_budget):
         row1 = ps1[i]
         for j in candidates[i]:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 raise _BudgetExceeded
             if used[j]:
                 continue
@@ -420,13 +420,13 @@ def _search_bijection(d1, d2, f1, f2, node_budget):
     return list(mapping) if extend(0) else None
 
 
-def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
+def same_matroid(d1, d2):
     """Decide whether two decompositions define the same labelled-set matroid.
 
     Returns "No" when the fingerprints differ or the exhaustive search rules
     a bijection out, "Yes" when a backtracking search finds a bijection of
     covectors mapping flats onto flats, and "Unknown" when the search
-    visits more than ``node_budget`` candidate images.  The search compares
+    visits more than NODE_BUDGET candidate images.  The search compares
     the sizes of the flats through each pair of covectors, read from the
     multi flats, and checks the multi flats of a full mapping.
     """
@@ -436,7 +436,7 @@ def same_matroid(d1, d2, node_budget=DEFAULT_NODE_BUDGET):
     if f1 != f2:
         return NO
     try:
-        mapping = _search_bijection(d1, d2, f1, f2, node_budget)
+        mapping = _search_bijection(d1, d2, f1, f2)
     except _BudgetExceeded:
         return UNKNOWN
     return YES if mapping is not None else NO

@@ -44,12 +44,12 @@ def verify_entry(entry_id, params=None, rtol=None):
     """Verify one entry against its stored oracle data.
 
     Checks, in this order: the configuration constructs; its Gram matrix
-    matches the stored one (relative ORACLE_RTOL on the largest entry); the
-    plane conditions pass at ``rtol``; the flat lists match exactly as label
-    sets; the nu-values (trace formula) match the stored formulas (relative
-    ORACLE_RTOL).  An error from construction (covectors that do not span,
-    say) or from the plane check (a degenerate plane) is a failed row, not
-    raised.
+    G = A A^T, which only this check forms, matches the stored one
+    (relative ORACLE_RTOL on the largest entry); the plane conditions pass
+    at ``rtol``; the flat lists match exactly as label sets; the nu-values
+    (trace formula) match the stored formulas (relative ORACLE_RTOL).  An
+    error from construction (covectors that do not span, say) or from the
+    plane check (a degenerate plane) is a failed row, not raised.
     """
     ent = catalogue.entry(entry_id)
     params = dict(params or {})
@@ -69,7 +69,7 @@ def verify_entry(entry_id, params=None, rtol=None):
         return report
     expected_gram = catalogue._evaluated(ent.gram, names)
     scale = np.abs(expected_gram).max()
-    gram_err = np.abs(vee.form.gram - expected_gram).max() / scale
+    gram_err = np.abs(config.matrix @ config.matrix.T - expected_gram).max() / scale
     report.details["gramError"] = float(gram_err)
     if gram_err > ORACLE_RTOL:
         report.failures.append(f"gram mismatch, relative error {gram_err:.3e}")

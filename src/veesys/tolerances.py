@@ -23,7 +23,7 @@ enumeration raises AmbiguousFlats rather than choosing among them.
 Two numpy defaults also cut singular values outside this module, and no
 setting moves them: ``np.linalg.lstsq`` with ``rcond=None`` (the largest
 singular value times max(m, n) times machine epsilon) fixes the rank of the
-least-squares solves in ``verify.solve_weights`` and
+least-squares solves in ``matroid.FlatDecomposition.weight_system`` and
 ``projective._place_by_ratio``.  Whether the covectors span is decided once,
 at construction, against SINGULAR_FORM_RTOL.
 """
@@ -59,7 +59,7 @@ ROW_DROP_RTOL = 1e-9
 # computing numerical ranks of deformation systems.
 RANK_RTOL = 1e-8
 
-# --- weights, harmonic ranges and extensions (verify) -----------------------
+# --- weights (matroid), harmonic ranges and extensions (verify) -------------
 
 # The weight system is 0/1, so a residual or singular value below this absolute cut is round-off.
 WEIGHT_TOL = 1e-9

@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import max_minors
 from .errors import BadEmbedding, DegeneratePlane
-from .tolerances import (WEIGHT_TOL, common_ratio_tol, embedding_tol, harmonic_tol,
-                         orthogonal_pair_tol, resolve)
+from .tolerances import (common_ratio_tol, embedding_tol, harmonic_tol, orthogonal_pair_tol,
+                         resolve)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,6 @@ class VeeReport:
     max_residual: float
     nu_function: dict  # member-label tuple -> nu (multi flats only)
     decomposition: object
-    form: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +110,10 @@ def check_vee(config, rtol=None):
         max_residual=analysis.max_residual,
         nu_function=nu_function,
         decomposition=decomp,
-        form=analysis.form,
     )
 
 
-def solve_weights(config, rtol=None):
+def solve_weights(config):
     """Solve the admissibility system: per covector, the weights of the
     multi flats through it must sum to 1.
 
@@ -123,22 +121,17 @@ def solve_weights(config, rtol=None):
     reads 0 = 1).  When the solution space has positive dimension the
     minimum-norm solution is returned with status "underdetermined".
 
-    The system depends on the matroid alone: its least-squares solve is the
-    decomposition's ``weight_solve``, computed once per matroid, and this
-    applies WEIGHT_TOL to it and pairs the weights with the configuration's
-    own nu for the universal value.
+    The system depends on the matroid alone and is decided once per
+    matroid, by the decomposition's ``weight_system``, with no plane check
+    and no ``rtol``; this labels its weights and pairs them with the
+    configuration's own nu for the universal value.
     """
-    analysis = plane_analysis(config, rtol)
-    decomp = analysis.decomposition
-    if not decomp.multi:
-        return WeightSolution("infeasible", residual=1.0)
-    x, residual, svals = decomp.weight_solve
-    if residual >= WEIGHT_TOL:
-        return WeightSolution("infeasible", residual=residual)
-    rank = np.count_nonzero(svals > WEIGHT_TOL)
-    status = "underdetermined" if rank < len(decomp.multi) else "feasible"
+    decomp = config.decomposition
+    status, x, residual = decomp.weight_system
+    if x is None:
+        return WeightSolution(status, residual=residual)
     weights = dict(zip(map(config.sublabels, decomp.multi), x.tolist()))
-    return WeightSolution(status, weights, float(x @ analysis.multi_nus), residual)
+    return WeightSolution(status, weights, float(x @ config.analysis.multi_nus), residual)
 
 
 # The six member pairs of a 4-flat in itertools.combinations order, and per

@@ -21,16 +21,20 @@ from veesys.tolerances import DEFAULT_RTOL, SINGULAR_FORM_RTOL
 A3_GRAM = np.array([[3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
 
 
+def _gram(config):
+    """G = A A^T, formed as the Gram oracle forms it."""
+    return config.matrix @ config.matrix.T
+
+
 def test_a3_gram_oracle():
     config = catalogue.construct("A3", {"c1": 1, "c2": 1, "c3": 1})
-    form = canonical_form(config)
-    assert np.allclose(form.gram, A3_GRAM, atol=1e-12)
+    assert np.allclose(_gram(config), A3_GRAM, atol=1e-12)
 
 
 def test_h3_gram_oracle():
     config = catalogue.construct("H3", {})
     expected = 10.0 * (3.0 + math.sqrt(5.0)) * np.eye(3)
-    assert np.allclose(canonical_form(config).gram, expected, atol=1e-10)
+    assert np.allclose(_gram(config), expected, atol=1e-10)
 
 
 def test_f3_dual_oracle():
@@ -44,10 +48,10 @@ def test_f3_dual_oracle():
 
 def test_reproducing_property():
     config = catalogue.construct("B3", {"c1": 1, "c2": 2, "c3": 3, "gamma": 0.5})
-    form = canonical_form(config)
+    gram = _gram(config)
     for i in range(config.n):
         # G(alpha_i_dual, .) must reproduce alpha_i as a functional
-        reproduced = form.gram @ dual(config, i)
+        reproduced = gram @ dual(config, i)
         assert np.allclose(reproduced, config.covector(i), atol=1e-10)
 
 
@@ -137,14 +141,17 @@ B3_ROOTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0],
 def test_span_decision_at_the_top_of_the_double_range():
     """The nine B3 roots times 1e308: the singular values of A overflow, so
     construction takes the SVD of A scaled by a power of two.  cond(G) is
-    finite and that of the unscaled roots, with no numpy warning; at a
-    power-of-two scale V^T and cond(G) are bitwise those of the roots."""
+    finite and that of the unscaled roots, with no numpy warning, and so is
+    every other attribute of the canonical form; at a power-of-two scale
+    V^T and cond(G) are bitwise those of the roots."""
     roots = CovectorConfiguration(B3_ROOTS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         huge = CovectorConfiguration(B3_ROOTS * 1e308)
         exact = CovectorConfiguration(B3_ROOTS * 2.0 ** 1023)
         assert all(verify.check_vee(c).is_vee_system for c in (huge, exact))
+        for name, value in vars(canonical_form(huge)).items():
+            assert np.isfinite(value).all(), name
     assert math.isfinite(huge.form.condition_number)
     assert huge.form.condition_number == pytest.approx(roots.form.condition_number, rel=1e-12)
     assert exact.form.condition_number == roots.form.condition_number
@@ -166,7 +173,7 @@ def _records():
     decomp = config.decomposition
     script = projective.load_script(catalogue.script_path("h3"))
     return [
-        config, config.analysis.form, config.analysis, decomp, decomp.flats[-1],
+        config, config.form, config.analysis, decomp, decomp.flats[-1],
         matroid.fingerprint(decomp), verify.check_vee(config), verify.solve_weights(config),
         verify.check_harmonic(config)[0],
         verify.check_extension(config, config, range(config.n)),

@@ -204,23 +204,27 @@ def test_same_matroid_rejects_size_mismatch():
         same_matroid(decompose(a3), decompose(d3))
 
 
-def test_same_matroid_unknown_on_tiny_budget():
+def test_same_matroid_unknown_on_tiny_budget(monkeypatch):
     config = catalogue.construct("H4A1", {})
     d = decompose(config)
     d2 = decompose(config.take(list(reversed(range(config.n)))))
-    assert same_matroid(d, d2, node_budget=3) == matroid.UNKNOWN
+    monkeypatch.setattr(matroid, "NODE_BUDGET", 3)
+    assert same_matroid(d, d2) == matroid.UNKNOWN
+    monkeypatch.undo()  # the default budget
     assert same_matroid(d, d2) == matroid.YES
 
 
-def test_same_matroid_budget_is_an_exact_node_count():
+def test_same_matroid_budget_is_an_exact_node_count(monkeypatch):
     """The search for this relabelling of H4A1 visits 481 candidate images,
     so a budget of 480 gives Unknown and one of 481 finds the bijection."""
     config = catalogue.construct("H4A1", {})
     perm = [1, 26, 20, 8, 13, 15, 7, 10, 0, 11, 18, 23, 9, 28, 29, 16, 5, 24, 17, 25,
             2, 6, 19, 30, 22, 4, 3, 12, 21, 27, 14]
     d, d2 = decompose(config), decompose(config.take(perm))
-    assert same_matroid(d, d2, node_budget=480) == matroid.UNKNOWN
-    assert same_matroid(d, d2, node_budget=481) == matroid.YES
+    monkeypatch.setattr(matroid, "NODE_BUDGET", 480)
+    assert same_matroid(d, d2) == matroid.UNKNOWN
+    monkeypatch.setattr(matroid, "NODE_BUDGET", 481)
+    assert same_matroid(d, d2) == matroid.YES
 
 
 def _decomposition_from_flats(member_sets, n):
@@ -296,13 +300,13 @@ def test_rank_two_configuration_is_one_flat():
     when there are two of them."""
     pair = decompose(CovectorConfiguration(np.eye(2)))
     assert [f.members for f in pair.flats] == [(0, 1)]
-    assert (pair.pair_flats, pair.multi_flats, pair.multi) == (range(1), range(1, 1), ())
+    assert (len(pair.pair_members), len(pair.multi), pair.multi) == (1, 0, ())
     assert pair.pair_members.tolist() == [[0, 1]]
     assert pair.multi_incidence.shape == (2, 0) and pair.multi_leads.shape == (0, 2)
     angles = np.linspace(0, np.pi, 5)[:-1]
     line = decompose(CovectorConfiguration(np.array([np.cos(angles), np.sin(angles)])))
     assert [f.members for f in line.flats] == [(0, 1, 2, 3)]
-    assert (line.pair_flats, line.multi_flats, line.multi) == (range(0), range(1), ((0, 1, 2, 3),))
+    assert (len(line.pair_members), len(line.multi), line.multi) == (0, 1, ((0, 1, 2, 3),))
     assert line.pair_members.shape == (0, 2)
     assert line.multi_leads.tolist() == [[0, 1]]
 
@@ -442,6 +446,9 @@ def test_one_decomposition_per_coplanarity_pattern(shared):
         assert solution.status == ("underdetermined" if rank < len(multi) else "feasible")
         fresh = matroid.FlatDecomposition(second.n, multi, pair_members, incidence)
         assert decomp.connected is fresh.connected is True
+        # a decomposition made with no configuration decides the same weight system
+        status, weights, fresh_residual = fresh.weight_system
+        assert (status, weights.tolist(), fresh_residual) == (solution.status, x.tolist(), residual)
         mine, theirs = fingerprint(decomp), fresh.fingerprint
         assert mine is decomp.fingerprint
         assert mine.flat_size_multiset == theirs.flat_size_multiset

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from veesys import (
     check_vee,
     decompose,
     deform,
+    io,
     matroid,
     solve_weights,
     verify,
@@ -46,8 +48,7 @@ def test_nu_trace_equals_proportionality_factor():
     config = catalogue.construct("G3", {"t": 1.25})
     report = check_vee(config)
     decomp = report.decomposition
-    for k in decomp.multi_flats:
-        f = decomp.flats[k]
+    for f in decomp.flats[len(decomp.pair_members):]:  # the multi flats
         labels = config.sublabels(f.members)
         # the report's nu comes from the trace formula; recompute the
         # least-squares factor directly from the restricted forms
@@ -274,17 +275,18 @@ def test_shared_analysis_matches_reference_on_pair_heavy_inputs():
     assert len(points) == 5
     for name, config in points:
         decomp = config.analysis.decomposition
-        assert len(decomp.pair_flats) > 4 * len(decomp.multi_flats), name
+        assert len(decomp.pair_members) > 4 * len(decomp.multi), name
         _assert_planes_match_reference(name, config, False)
 
 
 def _chain(config, rtol=None):
     """The five public calls of the analysis chain, each outcome or the
-    name of the error it raised."""
+    name of the error it raised.  ``solve_weights`` takes no rtol: the
+    weight system depends on the matroid alone."""
     outcomes = []
     for call in (
         lambda: check_vee(config, rtol=rtol),
-        lambda: solve_weights(config, rtol=rtol),
+        lambda: solve_weights(config),
         lambda: check_harmonic(config, rtol=rtol),
         lambda: deform.build_system(config, deform.FREE_NU, rtol=rtol).corank,
         lambda: deform.rigidity_test(config, rtol=rtol)["corank"],
@@ -293,7 +295,7 @@ def _chain(config, rtol=None):
             outcome = call()
         except VeesysError as exc:
             outcome = type(exc).__name__
-        if hasattr(outcome, "form"):  # a VeeReport: compare its verdicts
+        if hasattr(outcome, "is_vee_system"):  # a VeeReport: compare its verdicts
             outcome = (outcome.is_vee_system, outcome.max_residual,
                        config.analysis.residuals.tolist(), config.analysis.nus.tolist(),
                        outcome.nu_function)
@@ -396,7 +398,9 @@ def test_cached_analysis_holds_no_tolerance():
     ratios = config.analysis.ratios
     assert len(ratios) == len(config.analysis.decomposition.multi)
     smallest = ratios.min()
-    assert _chain(config, 1.01 * smallest) == ["DegeneratePlane"] * 5
+    weights = _chain(config)[1]  # solved on the matroid, with no plane check
+    degenerate = ["DegeneratePlane", weights] + ["DegeneratePlane"] * 3
+    assert _chain(config, 1.01 * smallest) == degenerate
     assert "DegeneratePlane" not in _chain(config, 0.99 * smallest)
     assert _chain(config) == _chain(configs()[0])
 
@@ -461,32 +465,55 @@ def test_check_harmonic_passes_rtol_to_cross_ratio(monkeypatch):
     assert len(seen) == 3 and set(seen) == {1e-7}
 
 
-def _weights_of(monkeypatch, coefficients):
-    """solve_weights on a weight system with the given n x m coefficients."""
+def _weights_of(coefficients):
+    """The decided weight system (status, weights, residual) of a
+    decomposition whose n x m multi incidence is ``coefficients``."""
     n, m = coefficients.shape
-    # the decomposition's own least-squares solve, run on the coefficients
-    solve = matroid.FlatDecomposition.weight_solve.func(
-        SimpleNamespace(n=n, multi_incidence=coefficients))
-    decomposition = SimpleNamespace(n=n, multi=tuple((k,) for k in range(m)),
-                                    weight_solve=solve)
-    analysis = SimpleNamespace(decomposition=decomposition, multi_nus=np.ones(m))
-    monkeypatch.setattr(verify, "plane_analysis", lambda config, rtol=None: analysis)
-    return solve_weights(CovectorConfiguration(np.eye(n)))
+    return matroid.FlatDecomposition.weight_system.func(SimpleNamespace(
+        n=n, multi=tuple((k,) for k in range(m)), multi_incidence=coefficients))
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_weight_residual_and_rank_cuts(monkeypatch, factor):
+def test_weight_residual_and_rank_cuts(factor):
     """The least-squares residual decides feasibility, and the singular values
     the rank, each against the absolute WEIGHT_TOL."""
     # rows (1) and (1 + d): the least-squares residual is d / 2 to first order
     d = 2 * factor * WEIGHT_TOL
-    solution = _weights_of(monkeypatch, np.array([[1.0], [1.0 + d]]))
-    assert solution.residual == pytest.approx(factor * WEIGHT_TOL, rel=1e-6)
-    assert solution.status == ("feasible" if factor < 1 else "infeasible")
+    status, _, residual = _weights_of(np.array([[1.0], [1.0 + d]]))
+    assert residual == pytest.approx(factor * WEIGHT_TOL, rel=1e-6)
+    assert status == ("feasible" if factor < 1 else "infeasible")
     # diag(1, s) solves exactly; its rank counts s only above the cut
-    solution = _weights_of(monkeypatch, np.diag([1.0, factor * WEIGHT_TOL]))
-    assert solution.residual < WEIGHT_TOL
-    assert solution.status == ("underdetermined" if factor < 1 else "feasible")
+    status, _, residual = _weights_of(np.diag([1.0, factor * WEIGHT_TOL]))
+    assert residual < WEIGHT_TOL
+    assert status == ("underdetermined" if factor < 1 else "feasible")
+
+
+# The F3 document of the console-script check: F3 at t = 1e-170 times 1e100,
+# written out.  Covectors 10 to 13 sit 1e-170 below the others, so their
+# canonical norms underflow to 0.
+_R, _T = "1.4142135623730952e+100", "1.4142135623730952e-70"
+F3_VANISHING = json.dumps({"dimension": 3, "covectors": [
+    [_R, "0.0", "0.0"], ["0.0", _R, "0.0"], ["0.0", "0.0", _R],
+    ["1e+100", "1e+100", "0.0"], ["1e+100", "-1e+100", "0.0"], ["1e+100", "0.0", "1e+100"],
+    ["1e+100", "0.0", "-1e+100"], ["0.0", "1e+100", "1e+100"], ["0.0", "1e+100", "-1e+100"],
+    [_T, _T, _T], [_T, "-" + _T, _T], [_T, _T, "-" + _T], [_T, "-" + _T, "-" + _T]]})
+
+
+def test_weights_are_a_function_of_the_matroid():
+    """The F3 document whose canonical norms underflow shares its
+    decomposition with F3 at t = 1, so it gets the same weights, with no
+    numpy warning, while its plane check still names covector 10."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vanishing = io.parse_document(F3_VANISHING)
+        f3 = catalogue.construct("F3", {"t": 1})
+        assert vanishing.decomposition is f3.decomposition
+        mine, theirs = solve_weights(vanishing), solve_weights(f3)
+        assert mine.status == theirs.status == "feasible"
+        assert mine.weights == theirs.weights
+        assert mine.residual == theirs.residual
+        with pytest.raises(DegeneratePlane, match="^covector 10 has canonical norm 0$"):
+            check_harmonic(vanishing)
 
 
 def _four_flat(third, fourth):
