@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 
@@ -104,32 +103,29 @@ def _nus(flats, names):
             for f in flats if f.get("nu") is not None}
 
 
-@dataclass(frozen=True, kw_only=True, eq=False)
 class RelationEntry:
     """One extension or degeneration row, built from its JSON record by field
     name."""
 
-    kind: str  # "extension" | "degeneration"
-    description: str
-    source: str
-    source_params: dict = field(default_factory=dict)
-    target: str
-    target_params: dict = field(default_factory=dict)
-    covectors: tuple  # added (extension) or vanishing (degeneration) labels
-    printed_covectors: tuple = None  # as published; the covectors when absent
-    path: dict = None  # degenerations: parameter -> expression in eps, or a number
-    scale: str = "1"  # overall factor applied along the path
-    exact_limit: bool = False
-    flagged: bool = False
-    note: str = ""
-    nu_ratio: float = None  # expected common nu-ratio, when published
-
-    def __post_init__(self):  # frozen: the converted labels go in through object.__setattr__
-        covectors = _labels(self.covectors)
-        printed = self.printed_covectors
-        object.__setattr__(self, "covectors", covectors)
-        object.__setattr__(self, "printed_covectors",
-                           covectors if printed is None else _labels(printed))
+    def __init__(self, *, kind, description, source, target, covectors, source_params=None,
+                 target_params=None, printed_covectors=None, path=None, scale="1",
+                 exact_limit=False, flagged=False, note="", nu_ratio=None):
+        self.kind = kind  # "extension" | "degeneration"
+        self.description = description
+        self.source = source
+        self.source_params = {} if source_params is None else source_params
+        self.target = target
+        self.target_params = {} if target_params is None else target_params
+        self.covectors = _labels(covectors)  # added (extension) or vanishing (degeneration)
+        # as published; the covectors when absent
+        self.printed_covectors = (self.covectors if printed_covectors is None
+                                  else _labels(printed_covectors))
+        self.path = path  # degenerations: parameter -> expression in eps, or a number
+        self.scale = scale  # overall factor applied along the path
+        self.exact_limit = exact_limit
+        self.flagged = flagged
+        self.note = note
+        self.nu_ratio = nu_ratio  # expected common nu-ratio, when published
 
 
 class AuxiliaryEntry:

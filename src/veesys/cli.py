@@ -287,7 +287,8 @@ def cmd_nu(rtol, input, catalogue_id, params_text):
 
     config, source = _open(input, catalogue_id, params_text)
     vee = verify.check_vee(config, rtol=rtol)
-    return vee.is_vee_system, source, [("nu", sorted(vee.nu_function.items()))]
+    nus = sorted(vee.nu_function.items())
+    return vee.is_vee_system, source, [("isVeeSystem", vee.is_vee_system), ("nu", nus)]
 
 
 @report_command("weights")
@@ -317,7 +318,7 @@ def cmd_harmonic(rtol, input, catalogue_id, params_text):
                       "ok": r.verdict, "note": r.note or None})
             for r in records]
     return all_ok, source, [
-        ("fourFlats", len(records)), ("allHarmonic", all_ok), ("records", rows),
+        ("fourFlats", len({r.flat for r in records})), ("allHarmonic", all_ok), ("records", rows),
     ]
 
 

@@ -42,7 +42,6 @@ class StepDegenerate(VeesysError):
     """A reconstruction step produced a degenerate meet."""
 
     def __init__(self, step, reason):
-        self.step = step
         super().__init__(f"reconstruction step {step!r} failed: {reason}")
 
 
@@ -54,9 +53,6 @@ class InadmissibleParameters(VeesysError):
     """Parameters violate the admissibility predicate of a catalogue family."""
 
     def __init__(self, entry_id, predicate, params):
-        self.entry_id = entry_id
-        self.predicate = predicate
-        self.params = params
         super().__init__(
             f"{entry_id}: parameters {params} violate admissibility '{predicate}'"
         )

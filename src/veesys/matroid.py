@@ -224,7 +224,7 @@ def decompose(config):
 # covectors in general position take 7 KB at n = 20 and 24 KB at n = 31.
 _SHARED_BYTES = 1 << 16
 _shared = {}  # (n, packed |det| < COPLANAR_TOL rows) -> FlatDecomposition, least recent first
-_shared_lock = threading.Lock()  # held to read, evict and insert
+_shared_lock = threading.Lock()  # held to look up, read, evict and insert
 
 
 def _held(key, decomposition):
@@ -249,6 +249,8 @@ def _enumerate_flats(config):
     same object; a new one is read by ``_read_rows``, which raises
     AmbiguousFlats, naming this configuration's labels, when the rows
     contradict each other, and is kept only when it reads and is small.
+    The look-up, the read and the insertion hold the table's lock
+    together, so threads that meet one new pattern read it once.
     """
     r, n = config.matrix.shape
     if r > 3:
@@ -269,20 +271,17 @@ def _enumerate_flats(config):
     key = n, np.packbits(hits).tobytes()
     with _shared_lock:
         decomposition = _shared.pop(key, None)
-        if decomposition is not None:
-            _shared[key] = decomposition  # now the most recent
-            return decomposition
-    pair_members, multi, incidence = _read_rows(hits, ends, config.labels)
-    decomposition = FlatDecomposition(n, multi, pair_members, incidence)
-    size = _held(key, decomposition)
-    with _shared_lock:  # another thread may have read the pattern meanwhile
-        decomposition = _shared.pop(key, decomposition)
-        if size <= _SHARED_BYTES // 8:
+        if decomposition is None:
+            pair_members, multi, incidence = _read_rows(hits, ends, config.labels)
+            decomposition = FlatDecomposition(n, multi, pair_members, incidence)
+            size = _held(key, decomposition)
+            if size > _SHARED_BYTES // 8:
+                return decomposition
             held = sum(itertools.starmap(_held, _shared.items()))
             while held + size > _SHARED_BYTES:
                 oldest = next(iter(_shared))
                 held -= _held(oldest, _shared.pop(oldest))
-            _shared[key] = decomposition
+        _shared[key] = decomposition  # now the most recent
     return decomposition
 
 
@@ -370,12 +369,12 @@ def _pair_sizes(decomposition):
     return sizes
 
 
-def _search_bijection(d1, d2, f1, f2):
+def _search_bijection(d1, d2):
     """Backtracking search for a covector bijection mapping flats to flats.
 
     Returns the mapping (list, d1 index -> d2 index) or None; raises
     _BudgetExceeded after NODE_BUDGET visited nodes.  Assumes the
-    fingerprints ``f1`` and ``f2`` already agree.  Every placed covector
+    decompositions' fingerprints already agree.  Every placed covector
     keeps the size of the flat through each pair it forms, so at a full
     mapping the pair flats map onto pair flats and only the multi flats
     are checked.
@@ -383,9 +382,10 @@ def _search_bijection(d1, d2, f1, f2):
     n = d1.n
     target_multi = set(d2.multi)
     ps1, ps2 = _pair_sizes(d1), _pair_sizes(d2)
+    p1, p2 = d1.fingerprint.point_profile, d2.fingerprint.point_profile
 
     candidates = [
-        [j for j in range(n) if f2.point_profile[j] == f1.point_profile[i]]
+        [j for j in range(n) if p2[j] == p1[i]]
         for i in range(n)
     ]
     order = sorted(range(n), key=lambda i: len(candidates[i]))
@@ -432,11 +432,10 @@ def same_matroid(d1, d2):
     """
     if d1.n != d2.n:
         raise ValueError("decompositions must have equal ground-set size")
-    f1, f2 = fingerprint(d1), fingerprint(d2)
-    if f1 != f2:
+    if d1.fingerprint != d2.fingerprint:
         return NO
     try:
-        mapping = _search_bijection(d1, d2, f1, f2)
+        mapping = _search_bijection(d1, d2)
     except _BudgetExceeded:
         return UNKNOWN
     return YES if mapping is not None else NO

@@ -26,13 +26,11 @@ from .verify import check_extension, check_vee
 
 
 class CheckReport:
-    """The failures, notes and details one check recorded for its subject."""
+    """The failures and details one check recorded."""
 
-    def __init__(self, subject, failures=None, notes=None, details=None):
-        self.subject = subject
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
-        self.details = {} if details is None else details
+    def __init__(self):
+        self.failures = []
+        self.details = {}
 
     @property
     def passed(self):
@@ -53,8 +51,7 @@ def verify_entry(entry_id, params=None, rtol=None):
     """
     ent = catalogue.entry(entry_id)
     params = dict(params or {})
-    report = CheckReport(subject=f"{entry_id} {params}" if params else entry_id)
-    report.notes.extend(ent.notes)
+    report = CheckReport()
     try:
         config = catalogue.construct(entry_id, params)
     except (VeesysError, ValueError) as exc:
@@ -107,9 +104,7 @@ def verify_entry(entry_id, params=None, rtol=None):
 
 
 def _verify_extension(rel, rtol):
-    report = CheckReport(subject=rel.description)
-    if rel.note:
-        report.notes.append(rel.note)
+    report = CheckReport()
     outer = catalogue.construct(rel.target, rel.target_params)
     added = set(rel.covectors)
     unknown = added - set(outer.labels)
@@ -156,14 +151,7 @@ def _verify_extension(rel, rtol):
 
 
 def _verify_degeneration(rel, rtol):
-    report = CheckReport(subject=rel.description)
-    if rel.note:
-        report.notes.append(rel.note)
-    if rel.printed_covectors != rel.covectors:
-        report.notes.append(
-            f"published vanishing set {sorted(rel.printed_covectors, key=int)} "
-            f"corrected to {sorted(rel.covectors, key=int)}"
-        )
+    report = CheckReport()
     ent = catalogue.entry(rel.source)
     labels = tuple(str(i + 1) for i in range(ent.n))
     vanish_idx = [labels.index(c) for c in rel.covectors]

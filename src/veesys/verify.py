@@ -64,23 +64,23 @@ class HarmonicRecord:
 class ExtensionReport:
     """The result of ``check_extension``."""
 
-    def __init__(self, is_extension, nu_ratio, per_flat_ratios=None):
+    def __init__(self, is_extension, nu_ratio, per_flat_ratios):
         self.is_extension = is_extension
         self.nu_ratio = nu_ratio  # common inner/outer ratio, None when not common
-        self.per_flat_ratios = {} if per_flat_ratios is None else per_flat_ratios
+        self.per_flat_ratios = per_flat_ratios  # inner member labels -> ratio
 
 
-def plane_analysis(config, rtol=None):
-    """The configuration's shared PlaneAnalysis, checked at ``rtol``.
+def plane_analysis(config, tol):
+    """The configuration's shared PlaneAnalysis, checked at the resolved
+    tolerance ``tol``.
 
     Raises DegeneratePlane, naming the first such flat in
     ``decomposition.multi`` order, when the first two members of a multi
     flat have numerically proportional duals: its ``ratios`` entry is below
-    ``rtol``.  Raises it next, naming the first such covector, when a
+    ``tol``.  Raises it next, naming the first such covector, when a
     covector's canonical norm P_kk underflows to 0, which would pass its
     pair flats vacuously.
     """
-    tol = resolve(rtol)
     analysis = config.analysis
     degenerate = (analysis.ratios < tol).nonzero()[0]
     if len(degenerate):
@@ -231,7 +231,7 @@ def check_extension(inner, outer, embedding, rtol=None):
         raise BadEmbedding("embedding maps outside the outer configuration")
 
     if (max_minors(inner.unit, outer.unit[:, emb]) > embedding_tol(tol)).any():
-        return ExtensionReport(False, None)
+        return ExtensionReport(False, None, {})
 
     in_plan, out_plan = plane_analysis(inner, tol), plane_analysis(outer, tol)
     in_dec, on_outer = in_plan.decomposition, out_plan.decomposition.incidence

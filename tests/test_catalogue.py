@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 import re
 
@@ -96,7 +96,7 @@ def test_overflow_is_a_failed_row():
 
 
 def test_check_report_verdict_is_its_failure_list():
-    report = catalogue.CheckReport("subject")
+    report = catalogue.CheckReport()
     assert report.passed
     report.failures.append("reason")
     assert not report.passed
@@ -206,7 +206,9 @@ def test_published_nu_ratio_cut(factor, passed):
     assert rel.description == "A3(1,1,1) inside F3(1)" and rel.nu_ratio == 4.5
     computed = catalogue.verify_relation(rel).details["nuRatio"]
     published = computed * (1 + factor * ORACLE_RTOL)
-    report = catalogue.verify_relation(dataclasses.replace(rel, nu_ratio=published))
+    changed = copy.copy(rel)
+    changed.nu_ratio = published
+    report = catalogue.verify_relation(changed)
     assert report.details["nuRatio"] == computed
     assert report.passed == passed, report.failures
     if not passed:

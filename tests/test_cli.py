@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import veesys
-from veesys import catalogue, cli, digests, io
+from veesys import catalogue, cli, decompose, digests, io
 from veesys.cli import main
 from veesys.core import CovectorConfiguration
 from veesys.tolerances import RECONSTRUCTION_TOL
@@ -195,6 +195,35 @@ def test_harmonic_b3(runner):
                                   "--params", "c1=1,c2=1,c3=1,gamma=0"])
     assert result.exit_code == 0
     assert "allHarmonic: True" in result.output
+
+
+def test_four_flats_counts_each_four_member_flat_once(runner):
+    """A 4-flat with two orthogonal pairs has two records but is one flat."""
+    for ident in catalogue.ids():
+        for params in catalogue.entry(ident).default_grid:
+            argv = ["harmonic", "--catalogue", ident]
+            if params:
+                argv += ["--params", ",".join(f"{k}={v!r}" for k, v in params.items())]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, (argv, result.output)
+            multi = decompose(catalogue.construct(ident, params)).multi
+            count = sum(len(members) == 4 for members in multi)
+            assert f"\nfourFlats: {count}\n" in result.output, (argv, result.output)
+
+
+def test_nu_failure_prints_its_verdict(runner, tmp_path):
+    """H3 with every covector scaled by 1 + 1e-3 N(0, 1) is no ∨-system:
+    exit 1, with the verdict line before the nu section."""
+    h3 = catalogue.construct("H3", {})
+    scales = 1 + 1e-3 * np.random.default_rng(1).standard_normal(h3.n)
+    path = tmp_path / "h3-scaled.json"
+    io.save_document(CovectorConfiguration(h3.matrix * scales, h3.labels), path)
+    result = runner.invoke(main, ["nu", str(path)])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[lines.index("isVeeSystem: False") + 1] == "nu:"
+    passed = runner.invoke(main, ["nu", "--catalogue", "H3"])
+    assert passed.exit_code == 0 and "\nisVeeSystem: True\nnu:\n" in passed.output
 
 
 def test_deform_single(runner):
@@ -467,7 +496,7 @@ def test_cli_command_builds_only_the_dataclasses_replace_reads():
     assert probe.returncode == 0, probe
     assert "isVeeSystem: True" in probe.stdout
     docs = json.loads(probe.stderr)
-    assert set(docs) == {"VeeReport", "WeightSolution", "FlatDecomposition", "RelationEntry"}
+    assert set(docs) == {"VeeReport", "WeightSolution", "FlatDecomposition"}
     for name, doc in docs.items():
         assert doc and not doc.startswith(f"{name}("), (name, doc)
 
@@ -614,7 +643,7 @@ tool: veesys 0.1.0
 command: harmonic
 input: catalogue:B3(c1=1.0,c2=1.0,c3=1.0,gamma=0.0)
 rtol: 1.000e-09
-fourFlats: 6
+fourFlats: 3
 allHarmonic: True
 records:
   (1 2 6 9): crossRatio=-1 orthogonalPair=(1 2) ok=True note=2OrthogonalPairs

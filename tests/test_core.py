@@ -178,7 +178,7 @@ def _records():
         verify.check_harmonic(config)[0],
         verify.check_extension(config, config, range(config.n)),
         deform.build_system(config), catalogue.entry("B3"), catalogue.relations()[0],
-        catalogue._load().auxiliary["B3-roots"], oracles.CheckReport("B3"),
+        catalogue._load().auxiliary["B3-roots"], oracles.CheckReport(),
         script, script.items[0], script.branch_step,
     ]
 

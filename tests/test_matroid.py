@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -558,3 +559,35 @@ def test_shared_table_under_threads(shared, monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert not failures and len(sizes) == 6 * len(matrices)
     assert max(sizes) <= bound and 0 < len(matroid._shared) < len(lines)
+
+
+def test_threads_read_a_kept_pattern_once(shared, monkeypatch):
+    """Six threads that enumerate one kept pattern, H3's, at once: the
+    pattern is read once, and every thread gets that one decomposition.
+    The read is slowed, so the other threads look the pattern up while it
+    runs.  The threads call ``_enumerate_flats``, as ``decompose`` would
+    serialize them on Python 3.10 and 3.11, whose ``cached_property`` holds
+    one lock per class."""
+    read = matroid._read_rows
+
+    def slow(hits, ends, labels):
+        time.sleep(0.05)
+        return read(hits, ends, labels)
+
+    monkeypatch.setattr(matroid, "_read_rows", slow)
+    configs = [catalogue.construct("H3", {}) for _ in range(6)]
+    start = threading.Barrier(len(configs))
+    results = [None] * len(configs)
+
+    def work(k):
+        start.wait()
+        results[k] = matroid._enumerate_flats(configs[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(shared) == 1
+    assert all(result is results[0] for result in results) and results[0].n == 15

@@ -4,8 +4,10 @@ the decade of ``--rtol``."""
 import pathlib
 import tokenize
 
+import numpy as np
+
 import veesys
-from veesys import catalogue
+from veesys import catalogue, check_vee
 
 SWEEP = [10.0 ** -k for k in range(12, 3, -1)]  # 1e-12 ... 1e-4
 
@@ -26,6 +28,28 @@ def test_rtol_sweep_keeps_every_catalogue_verdict():
     assert len(default[0]) == 37 and len(default[1]) == 16
     for rtol in SWEEP:
         assert _verdicts(rtol) == default, rtol
+
+
+def test_rtol_sweep_keeps_every_h3_image_verdict():
+    """60 GL(3) images of H3 with cond < 100, drawn as C11 draws them, are
+    ∨-systems at every decade, and a copy of each with every covector
+    scaled by 1 + 1e-3 N(0, 1) is not; no plane reads as degenerate.  The
+    images' residuals are at most 5.5e-15, the copies' at least 4.4e-4,
+    and the smallest dual ratio is 0.83."""
+    rng, jitter = np.random.default_rng(1234), np.random.default_rng(1)
+    h3 = catalogue.construct("H3", {})
+    images, copies = [], []
+    for _ in range(60):
+        while True:
+            C = rng.standard_normal((3, 3))
+            if np.linalg.cond(C) < 100:
+                break
+        image = h3.transformed(C)
+        images.append(image)
+        copies.append(image.scaled(1 + 1e-3 * jitter.standard_normal(h3.n)))
+    for rtol in SWEEP:
+        assert all(check_vee(image, rtol=rtol).is_vee_system for image in images), rtol
+        assert not any(check_vee(copy, rtol=rtol).is_vee_system for copy in copies), rtol
 
 
 def test_threshold_literals_live_in_tolerances_only():
