@@ -169,7 +169,10 @@ class PlaneAnalysis:
     gamma(G^{-1} alpha) = P[gamma, alpha].  For a flat with first members
     i, j the restriction of G to the dual plane is (P_ii, P_ij, P_jj) and
     that of the plane form is the sum over members k of (P_ki P_ki, P_ki P_kj,
-    P_kj P_kj).  A pair flat's residual is |P_ij| / (sqrt(P_ii) sqrt(P_jj)).
+    P_kj P_kj).  ``norms`` keeps the canonical norms sqrt(P_kk), whose
+    products, unlike the products P_ii P_jj, do not underflow to 0 while
+    both norms are positive.  A pair flat's residual is
+    |P_ij| / (sqrt(P_ii) sqrt(P_jj)).
     A multi flat's residual is the relative deviation of the plane form from
     nu * G restricted, with nu the least-squares factor, and its ratio
     measures how far its first two duals are from proportional in the
@@ -184,6 +187,7 @@ class PlaneAnalysis:
         pair_i, pair_j = decomp.pair_members.T
         i, j = decomp.multi_leads.T
         Pi, Pj, diag = P[:, i], P[:, j], np.diag(P)
+        norms = np.sqrt(diag)
 
         # entries (11, 12, 22) of the symmetric 2x2 restrictions to the multi
         # flats; the off-diagonal entry counts twice in Frobenius products
@@ -192,21 +196,21 @@ class PlaneAnalysis:
         gp = np.array([(decomp.multi_incidence * a * b).sum(0)
                        for a, b in ((Pi, Pi), (Pi, Pj), (Pj, Pj))])
         nu_lsq = _quotient((weight * gp * g).sum(0), (weight * g * g).sum(0))
-        g11, g22 = diag[pair_i], diag[pair_j]
         residuals = np.concatenate([
-            _quotient(np.abs(P[pair_i, pair_j]), np.sqrt(g11) * np.sqrt(g22)),
+            _quotient(np.abs(P[pair_i, pair_j]), norms[pair_i] * norms[pair_j]),
             np.sqrt(_quotient((weight * (gp - nu_lsq * g) ** 2).sum(0),
                               (weight * gp * gp).sum(0))),
         ])
-        nus = 0.5 * np.concatenate([g11 + g22, diag @ decomp.multi_incidence])
+        nus = 0.5 * np.concatenate([diag[pair_i] + diag[pair_j], diag @ decomp.multi_incidence])
 
         u, v = basis[:, i], basis[:, j]
         wedge = u[:, None] * v[None] - v[:, None] * u[None]
         ratios = _quotient(np.sqrt((wedge ** 2).sum((0, 1))),
                            np.sqrt((u * u).sum(0)) * np.sqrt((v * v).sum(0)))
-        for shared in (P, residuals, nus, ratios):
+        for shared in (P, norms, residuals, nus, ratios):
             shared.setflags(write=False)
         self.pairings = P  # P = A^T G^{-1} A = basis^T basis
+        self.norms = norms  # the canonical norms sqrt(P_kk)
         self.decomposition = decomp  # the configuration's matroid.FlatDecomposition
         self.residuals = residuals  # pair: |P_ij| / (sqrt(P_ii) sqrt(P_jj)); multi: see above
         self.nus = nus  # 1/2 sum of P_kk over the members

@@ -232,10 +232,18 @@ def _verify_degeneration(rel, rtol):
 
 
 def verify_relation(rel, rtol=None):
-    """Verify one extension/degeneration relation; returns a CheckReport."""
-    tol = resolve(rtol)
-    if rel.kind == "extension":
-        return _verify_extension(rel, tol)
-    if rel.kind == "degeneration":
-        return _verify_degeneration(rel, tol)
-    raise ValueError(f"unknown relation kind {rel.kind!r}")
+    """Verify one extension/degeneration relation; returns a CheckReport.
+
+    An error the check raises (a degenerate plane at a large ``rtol``, say)
+    is a failed row carrying its message, not raised; an unknown relation
+    kind raises ValueError.
+    """
+    checks = {"extension": _verify_extension, "degeneration": _verify_degeneration}
+    if rel.kind not in checks:
+        raise ValueError(f"unknown relation kind {rel.kind!r}")
+    try:
+        return checks[rel.kind](rel, resolve(rtol))
+    except VeesysError as exc:
+        report = CheckReport()
+        report.failures.append(f"check failed: {exc}")
+        return report

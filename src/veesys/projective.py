@@ -15,7 +15,8 @@ Script file grammar (one record per line, '#' comments allowed)::
 Records execute in file order; every label on the right-hand side of a
 record must already be defined when the record runs.  A script holds at
 most one branch record; its ratio carries the target in the third slot,
-and the ratio's other points lie on line (P Q).
+and the ratio's other points lie on line (P Q); its quadratic has a real
+root.
 """
 
 from __future__ import annotations
@@ -124,10 +125,7 @@ class BranchStep:
         self.q = q
 
     def roots(self):
-        disc = self.p * self.p - 4.0 * self.q
-        if disc < 0:
-            raise ValueError("branch equation has no real roots")
-        s = math.sqrt(disc)
+        s = math.sqrt(self.p * self.p - 4.0 * self.q)  # parse_script saw a real root
         return ((-self.p + s) / 2.0, (-self.p - s) / 2.0)
 
     def __str__(self):
@@ -192,7 +190,11 @@ def parse_script(text):
         if m:
             if any(isinstance(item, BranchStep) for item in items):
                 raise ScriptFormatError(f"line {lineno}: second branch record")
-            p, q = _parse_quadratic(m.group("eq").strip())
+            equation = m.group("eq").strip()
+            p, q = _parse_quadratic(equation)
+            if p * p - 4.0 * q < 0:
+                raise ScriptFormatError(
+                    f"line {lineno}: branch equation '{equation}' has no real roots")
             items.append(
                 BranchStep(
                     m.group("target"),

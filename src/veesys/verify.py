@@ -88,7 +88,7 @@ def plane_analysis(config, tol):
         raise DegeneratePlane(
             f"flat members {config.labels[i]}, {config.labels[j]} are proportional"
         )
-    vanishing = (np.diag(analysis.pairings) == 0).nonzero()[0]
+    vanishing = (analysis.norms == 0).nonzero()[0]
     if len(vanishing):
         raise DegeneratePlane(f"covector {config.labels[vanishing[0]]} has canonical norm 0")
     return analysis
@@ -134,14 +134,6 @@ def solve_weights(config):
     return WeightSolution(status, weights, float(x @ config.analysis.multi_nus), residual)
 
 
-# The six member pairs of a 4-flat in itertools.combinations order, and per
-# pair the quad order (the other two members, then the pair).
-_QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
-_QUAD_FIRST, _QUAD_SECOND = np.array(_QUAD_PAIRS).T
-_QUAD_ORDERS = np.array([[m for m in range(4) if m not in pair] + list(pair)
-                         for pair in _QUAD_PAIRS])
-
-
 def check_harmonic(config, rtol=None):
     """Cross-ratio check on every 4-member flat.
 
@@ -153,57 +145,42 @@ def check_harmonic(config, rtol=None):
     ("two orthogonals"); the count is noted, the verdict only requires the
     cross-ratio.  Without a 4-flat there are no records.
 
-    The cross-ratio is read off P.  With a and b the flat's first two
-    members, alpha -> (P_alpha_a, P_alpha_b) maps the flat's plane linearly
-    onto R^2, one-to-one once ``plane_analysis`` has passed the flat's ratio
-    check, and a cross-ratio is invariant under linear maps: it is
+    The cross-ratio is read off P divided by the products of the canonical
+    norms ``analysis.norms``, one array division, in one loop over the
+    4-flats.  With a and b the flat's first two members, alpha ->
+    (P_alpha_a, P_alpha_b) maps the flat's plane linearly onto R^2,
+    one-to-one once ``plane_analysis`` has passed the flat's ratio check,
+    and a cross-ratio is invariant under linear maps: it is
     [13][24] / ([23][14]), where [xy] is the 2x2 minor of the coordinates
-    of members x and y.
+    of members x and y.  Where a minor in the denominator rounds to 0, the
+    value is numpy's quotient, inf or nan, and not harmonic.
     """
     tol = resolve(rtol)
     analysis = plane_analysis(config, tol)
-    P = analysis.pairings
     quads = [members for members in analysis.decomposition.multi if len(members) == 4]
     if not quads:
         return []
-    # P scaled by sqrt(P_ii) sqrt(P_jj): the product P_ii P_jj can underflow to 0
-    root = np.sqrt(np.diag(P))
-
-    def scaled(i, j):
-        return P[i, j] / (root[i] * root[j])
-
-    members = np.array(quads, dtype=int)
-    pairings = scaled(members[:, _QUAD_FIRST], members[:, _QUAD_SECOND])
-    orthogonal = np.abs(pairings) < orthogonal_pair_tol(tol)
-    flat_of, pair_of = np.nonzero(orthogonal)
-    ordered = members[flat_of[:, None], _QUAD_ORDERS[pair_of]]
-    x, y = (scaled(ordered, members[flat_of, lead, None]) for lead in (0, 1))
-    d13, d24, d23, d14 = (x[:, k] * y[:, m] - x[:, m] * y[:, k]
-                          for k, m in ((0, 2), (1, 3), (1, 2), (0, 3)))
-    values = iter((d13 * d24 / (d23 * d14)).tolist())
-    pairs = iter(pair_of.tolist())  # row by row, so each quad's pairs in turn
-    cut = harmonic_tol(tol)
+    norms = analysis.norms
+    scaled = (analysis.pairings / np.outer(norms, norms)).tolist()
+    orthogonal, cut = orthogonal_pair_tol(tol), harmonic_tol(tol)
     records = []
-    for quad, count in zip(quads, orthogonal.sum(axis=1).tolist()):
+    for quad in quads:
         labels = config.sublabels(quad)
-        if not count:
-            records.append(
-                HarmonicRecord(labels, None, None, False, "NoOrthogonalPair")
-            )
+        pairs = [(a, b) for a, b in itertools.combinations(quad, 2)
+                 if abs(scaled[a][b]) < orthogonal]
+        if not pairs:
+            records.append(HarmonicRecord(labels, None, None, False, "NoOrthogonalPair"))
             continue
-        note = "" if count == 1 else f"{count}OrthogonalPairs"
-        for k in itertools.islice(pairs, count):
-            a, b = _QUAD_PAIRS[k]
-            value = next(values)
-            records.append(
-                HarmonicRecord(
-                    labels,
-                    value,
-                    (config.labels[quad[a]], config.labels[quad[b]]),
-                    abs(value + 1.0) < cut,
-                    note,
-                )
-            )
+        note = "" if len(pairs) == 1 else f"{len(pairs)}OrthogonalPairs"
+        for pair in pairs:
+            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = (
+                (scaled[k][quad[0]], scaled[k][quad[1]])
+                for k in [m for m in quad if m not in pair] + list(pair))
+            num = (x1 * y3 - x3 * y1) * (x2 * y4 - x4 * y2)
+            den = (x2 * y3 - x3 * y2) * (x1 * y4 - x4 * y1)
+            value = num / den if den else np.divide(num, den).item()
+            records.append(HarmonicRecord(labels, value, config.sublabels(pair),
+                                          abs(value + 1.0) < cut, note))
     return records
 
 

@@ -153,6 +153,20 @@ def test_plane_check_errors_become_failed_rows(ident, params, error):
     assert row["error"].endswith(error)
 
 
+def test_relation_check_errors_become_failed_rows():
+    """At rtol 0.6 the plane check of the H3 inside (H4, A1) row raises
+    DegeneratePlane: a failed row carrying the message.  An unknown kind
+    still raises."""
+    (rel,) = [r for r in catalogue.relations() if r.description == "H3 inside (H4,A1)"]
+    assert catalogue.verify_relation(rel).passed
+    report = catalogue.verify_relation(rel, rtol=0.6)
+    assert report.failures == ["check failed: flat members 4, 8 are proportional"]
+    unknown = copy.copy(rel)
+    unknown.kind = "restriction"
+    with pytest.raises(ValueError, match="unknown relation kind 'restriction'"):
+        catalogue.verify_relation(unknown)
+
+
 @pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
 def test_nu_oracle_cut(monkeypatch, factor, passed):
     """verify_entry accepts a computed nu within ORACLE_RTOL * max(1, |nu|)

@@ -330,6 +330,21 @@ def test_catalogue_verify_all_strict(runner):
     assert result.output.count("skipped (flagged, --strict)") == 2
 
 
+def test_catalogue_verify_all_reports_a_relation_check_error_as_a_row():
+    """At --rtol 0.6 the plane checks of H4A1 and of the H3 inside (H4, A1)
+    row raise DegeneratePlane: both are failed rows, the run prints all 53
+    rows and exits 1 with nothing on stderr."""
+    result = subprocess.run([sys.executable, "-m", "veesys.cli", "--rtol", "0.6",
+                             "catalogue", "verify-all"],
+                            env=_source_env(), capture_output=True, text=True)
+    assert result.returncode == 1, result
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert "failures: 2" in lines
+    assert sum(line.endswith(": pass") for line in lines) == 51
+    assert "  H3 inside (H4,A1): FAIL check failed: flat members 4, 8 are proportional" in lines
+
+
 def test_catalogue_commands_hash_nothing_after_load(runner, monkeypatch):
     header = f"input: data sha256:{catalogue.data_checksum()[:16]}\n"
     catalogue._load()

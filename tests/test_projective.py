@@ -179,6 +179,8 @@ def test_sign_coordinate_cut(factor, flipped):
         ("basis: 1 2 3 4\n5 = meet(1 2, 3 4)", "cannot parse"),
         ("basis: 1 2 3 4\nbranch: x^3-1 ; 5 on (1 2) at ratio (1 2 : 5 3)",
          "quadratic"),
+        ("basis: 1 2 3 4\nbranch: x^2+1 ; 5 on (1 2) at ratio (1 2 : 5 3)",
+         "line 2: branch equation 'x^2+1' has no real roots"),
         ("basis: a b c d\nbranch: x^2-x-1 ; e on (a b) at ratio (a e : b c)\n",
          "step 'branch e on (a b)': branch ratio must carry the target in its third"),
         ("basis: a b c d\nbranch: x^2-x-1 ; e on (a b) at ratio (c a : e b)\n"

@@ -113,6 +113,43 @@ def test_harmonic_f3_records_in_flat_order_with_pair_counts():
     assert all(r.cross_ratio == pytest.approx(-1.0, abs=1e-12) for r in records)
 
 
+def test_harmonic_records_a_flat_without_an_orthogonal_pair():
+    """B3(1,1,1;0) with every covector scaled by 1 + 1e-3 N(0, 1): at the
+    default rtol no member pair of a 4-flat reads as orthogonal, so each
+    flat gets one NoOrthogonalPair record.  At rtol 1e-4 both pairs of each
+    do, and the cross-ratios are still -1, since scaling a covector moves
+    no projective point."""
+    b3 = catalogue.construct("B3", {"c1": 1, "c2": 1, "c3": 1, "gamma": 0})
+    config = b3.scaled(1 + 1e-3 * np.random.default_rng(1).standard_normal(b3.n))
+    records = check_harmonic(config)
+    assert [(r.flat, r.cross_ratio, r.orthogonal_pair, r.verdict, r.note)
+            for r in records] == [
+        (flat, None, None, False, "NoOrthogonalPair")
+        for flat in (("1", "2", "6", "9"), ("1", "3", "5", "8"), ("2", "3", "4", "7"))]
+    records = check_harmonic(config, rtol=1e-4)
+    assert [(" ".join(r.flat), " ".join(r.orthogonal_pair)) for r in records] == [
+        ("1 2 6 9", "1 2"), ("1 2 6 9", "6 9"), ("1 3 5 8", "1 3"),
+        ("1 3 5 8", "5 8"), ("2 3 4 7", "2 3"), ("2 3 4 7", "4 7")]
+    assert all(r.verdict and r.note == "2OrthogonalPairs" for r in records)
+    assert all(r.cross_ratio == pytest.approx(-1.0, abs=1e-15) for r in records)
+
+
+def test_harmonic_quad_whose_points_coincide_is_not_harmonic():
+    """Members 1, 2 and 3 of the 4-flat {1, 2, 3, 4} lie within 1e-6 of one
+    line and member 4 is orthogonal to all three, so its coordinates
+    (P_4,1, P_4,2) vanish and so do the quads' minors: each record reads
+    the cross-ratio numpy's division gives (nan for 0 / 0), not an error,
+    and none is harmonic."""
+    config = CovectorConfiguration(np.array(
+        [(1, 0, 0), (1, 1e-6, 0), (1, -0.7e-6, 0), (0, 1000, 0),
+         (0, 0, 1), (1, 0, 1), (1, 0, -1)], dtype=float).T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        records = check_harmonic(config)
+    quad = [r for r in records if r.flat == ("1", "2", "3", "4")]
+    assert [r.orthogonal_pair for r in quad] == [("1", "4"), ("2", "4"), ("3", "4")]
+    assert not any(r.verdict for r in quad)
+
+
 def test_extension_h3_in_h4a1():
     outer = catalogue.construct("H4A1", {})
     added = {"4", "5", "6", "7"} | {str(i) for i in range(20, 32)}
